@@ -1926,8 +1926,10 @@ static PyTypeObject TriangelKernelType = {
  * semantics, MSHR min-ready bookkeeping, DRAM bank/channel timing and
  * the simple-core clock.  The Python batched driver stays the
  * bit-exact oracle; repro.sim.driver loads a snapshot of the live
- * hierarchy, feeds whole BatchedTrace chunks per run() call, and
- * exports all state back on detach.                                   */
+ * hierarchy, feeds whole BatchedTrace chunks per run() call, ends the
+ * run with flush() (the end-of-run prefetch drain, so the PQ and MSHR
+ * never leave C) and exports caches and DRAM only when Python reads
+ * the hierarchy afterwards.                                           */
 
 #define CB_PREFETCHED 1u
 #define CB_USEFUL 2u
@@ -2398,6 +2400,89 @@ drv_demand_miss(DriverKernel *d, long long block, long long issue_cycle,
     return latency;
 }
 
+/* Pop the oldest packed PQ entry (caller checks pq_n). */
+static inline long long
+drv_pq_pop(DriverKernel *d)
+{
+    long long p = d->pq[d->pq_head];
+    d->pq_head++;
+    if (d->pq_head >= d->pq_cap)
+        d->pq_head = 0;
+    d->pq_n--;
+    return p;
+}
+
+/* CacheHierarchy._issue_prefetch for one packed PQ entry
+ * (block << 1 | to_l1) issued at `cycle`: the redundancy checks, the
+ * L2/LLC/DRAM source lookup, then either an L1 MSHR allocation
+ * (has_free_entry's expire-and-discard first, the L2 fallback fill when
+ * the MSHR is full) or an L2 fill.  Shared by the per-access drain in
+ * run() and the end-of-run drain in flush(). */
+static inline void
+drv_issue_prefetch(DriverKernel *d, long long p, long long cycle)
+{
+    long long pblock = p >> 1;
+    if (dc_contains(&d->l1, pblock) || drv_mshr_find(d, pblock) >= 0) {
+        d->st_pf_redundant++;
+        return;
+    }
+    DCRow r2 = dc_row(&d->l2, pblock);
+    int p2 = dcrow_find(&r2, pblock);
+    int to_l1 = (int)(p & 1);
+    if (!to_l1 && p2 >= 0) {
+        d->st_pf_redundant++;
+        return;
+    }
+    d->st_pf_issued++;
+    unsigned char from_dram = 0;
+    long long source_latency;
+    if (p2 >= 0) {
+        source_latency = d->lat_l2_source;
+        dcrow_touch(&r2, p2);
+    } else {
+        DCRow r3 = dc_row(&d->llc, pblock);
+        int p3 = dcrow_find(&r3, pblock);
+        if (p3 >= 0) {
+            dcrow_touch(&r3, p3);
+            source_latency = d->lat_llc_source;
+        } else {
+            double bus_done = drv_dram(d, pblock, cycle, 1);
+            source_latency = d->lat_llc_source
+                             + (long long)nearbyint(bus_done - (double)cycle);
+            from_dram = CB_FROM_DRAM;
+            drv_fill(d, &d->llc, pblock, CB_FROM_DRAM, 3);
+        }
+    }
+    if (to_l1) {
+        /* has_free_entry: expire-and-discard, then the capacity check. */
+        if (d->mshr_n && cycle >= d->mshr_min_ready)
+            drv_mshr_expire_discard(d, cycle);
+        if (d->mshr_n >= d->mshr_cap) {
+            d->st_pf_drop_mshr++;
+            if (!dc_contains(&d->l2, pblock)) {
+                drv_fill(d, &d->l2, pblock,
+                         (unsigned char)(CB_PREFETCHED | from_dram), 2);
+                d->st_pf_fill_l2++;
+            }
+            return;
+        }
+        long long ready = cycle + source_latency;
+        d->mshr_block[d->mshr_n] = pblock;
+        d->mshr_ready[d->mshr_n] = ready;
+        d->mshr_dram[d->mshr_n] = from_dram ? 1 : 0;
+        d->mshr_n++;
+        if (ready < d->mshr_min_ready)
+            d->mshr_min_ready = ready;
+        d->st_pf_fill_l1++;
+    } else if (!dc_contains(&d->l2, pblock)) {
+        drv_fill(d, &d->l2, pblock,
+                 (unsigned char)(CB_PREFETCHED | from_dram), 2);
+        d->st_pf_fill_l2++;
+    } else {
+        d->st_pf_redundant++;
+    }
+}
+
 /* In-process train dispatch (the flat protocol without the Python
  * boundary).  Returns the packed count, -1 for "nothing" (None / the
  * Triangel L1-hit gate), and points *buf at the kernel's out_buf. */
@@ -2467,11 +2552,14 @@ drv_check(DriverKernel *d)
 
     /* MSHR occupancy accounting.  The cached minimum may run stale-LOW:
      * the late-prefetch pop removes an entry without a recompute
-     * (mirroring the oracle's dict pop), so it lower-bounds the true
-     * minimum rather than equalling it; at n == 0 it is unconstrained. */
+     * (mirroring MSHRFile.remove), so it lower-bounds the true minimum
+     * rather than equalling it; an empty file holds exactly +inf. */
     DK_CHECK(d->mshr_n >= 0 && d->mshr_n <= d->mshr_cap, "MSHR",
              "occupancy out of range");
-    if (d->mshr_n > 0) {
+    if (d->mshr_n == 0) {
+        DK_CHECK(d->mshr_min_ready == LLONG_MAX, "MSHR",
+                 "cached min not +inf while empty");
+    } else {
         long long mn = LLONG_MAX;
         for (int i = 0; i < d->mshr_n; i++) {
             if (d->mshr_ready[i] < mn)
@@ -2838,89 +2926,9 @@ Driver_run(DriverKernel *d, PyObject *const *args, Py_ssize_t nargs)
             executed += gap + 1;
             int is_store = kind == 1;
 
-            if (d->pq_n) {
-                /* Packed PQ drain (_issue_prefetch inlined). */
-                int issued = 0;
-                while (d->pq_n && issued < d->pq_drain) {
-                    long long p = d->pq[d->pq_head];
-                    d->pq_head++;
-                    if (d->pq_head >= d->pq_cap)
-                        d->pq_head = 0;
-                    d->pq_n--;
-                    issued++;
-                    long long pblock = p >> 1;
-                    if (dc_contains(&d->l1, pblock)
-                        || drv_mshr_find(d, pblock) >= 0) {
-                        d->st_pf_redundant++;
-                        continue;
-                    }
-                    DCRow r2 = dc_row(&d->l2, pblock);
-                    int p2 = dcrow_find(&r2, pblock);
-                    int to_l1 = (int)(p & 1);
-                    if (!to_l1 && p2 >= 0) {
-                        d->st_pf_redundant++;
-                        continue;
-                    }
-                    d->st_pf_issued++;
-                    unsigned char from_dram = 0;
-                    long long source_latency;
-                    if (p2 >= 0) {
-                        source_latency = d->lat_l2_source;
-                        dcrow_touch(&r2, p2);
-                    } else {
-                        DCRow r3 = dc_row(&d->llc, pblock);
-                        int p3 = dcrow_find(&r3, pblock);
-                        if (p3 >= 0) {
-                            dcrow_touch(&r3, p3);
-                            source_latency = d->lat_llc_source;
-                        } else {
-                            double bus_done =
-                                drv_dram(d, pblock, issue_cycle, 1);
-                            source_latency =
-                                d->lat_llc_source
-                                + (long long)nearbyint(
-                                      bus_done - (double)issue_cycle);
-                            from_dram = CB_FROM_DRAM;
-                            drv_fill(d, &d->llc, pblock, CB_FROM_DRAM, 3);
-                        }
-                    }
-                    if (to_l1) {
-                        /* has_free_entry: expire-and-discard, then the
-                         * capacity check. */
-                        if (d->mshr_n && issue_cycle >= d->mshr_min_ready)
-                            drv_mshr_expire_discard(d, issue_cycle);
-                        if (d->mshr_n >= d->mshr_cap) {
-                            d->st_pf_drop_mshr++;
-                            if (!dc_contains(&d->l2, pblock)) {
-                                drv_fill(d, &d->l2, pblock,
-                                         (unsigned char)(CB_PREFETCHED
-                                                         | from_dram),
-                                         2);
-                                d->st_pf_fill_l2++;
-                            }
-                            continue;
-                        }
-                        long long ready = issue_cycle + source_latency;
-                        d->mshr_block[d->mshr_n] = pblock;
-                        d->mshr_ready[d->mshr_n] = ready;
-                        d->mshr_dram[d->mshr_n] = from_dram ? 1 : 0;
-                        d->mshr_n++;
-                        if (ready < d->mshr_min_ready)
-                            d->mshr_min_ready = ready;
-                        d->st_pf_fill_l1++;
-                    } else {
-                        if (!dc_contains(&d->l2, pblock)) {
-                            drv_fill(d, &d->l2, pblock,
-                                     (unsigned char)(CB_PREFETCHED
-                                                     | from_dram),
-                                     2);
-                            d->st_pf_fill_l2++;
-                        } else {
-                            d->st_pf_redundant++;
-                        }
-                    }
-                }
-            }
+            /* Packed PQ drain (issue_queued_prefetches). */
+            for (int issued = 0; d->pq_n && issued < d->pq_drain; issued++)
+                drv_issue_prefetch(d, drv_pq_pop(d), issue_cycle);
 
             /* Inlined demand_access. */
             d->st_demand++;
@@ -2941,7 +2949,8 @@ Driver_run(DriverKernel *d, PyObject *const *args, Py_ssize_t nargs)
                     fl |= CB_FROM_DRAM;
                 if (is_store)
                     fl |= CB_DIRTY;
-                /* dict pop: no _min_ready recompute. */
+                /* MSHRFile.remove: no _min_ready recompute, except that
+                 * emptying the file resets it to +inf. */
                 memmove(d->mshr_block + infl, d->mshr_block + infl + 1,
                         sizeof(long long) * (size_t)(d->mshr_n - 1 - infl));
                 memmove(d->mshr_ready + infl, d->mshr_ready + infl + 1,
@@ -2949,7 +2958,8 @@ Driver_run(DriverKernel *d, PyObject *const *args, Py_ssize_t nargs)
                 memmove(d->mshr_dram + infl, d->mshr_dram + infl + 1,
                         sizeof(unsigned char)
                             * (size_t)(d->mshr_n - 1 - infl));
-                d->mshr_n--;
+                if (--d->mshr_n == 0)
+                    d->mshr_min_ready = LLONG_MAX;
                 drv_fill(d, &d->l1, block, fl, 1);
                 d->st_l1_hits++;
                 d->st_pf_useful_l1++;
@@ -3017,6 +3027,30 @@ Driver_run(DriverKernel *d, PyObject *const *args, Py_ssize_t nargs)
     }
     DRV_CHECK(d);
     return Py_BuildValue("(nLLi)", index, replays, executed, yielded);
+}
+
+/* flush(cycle, horizon): CacheHierarchy.flush_prefetches — issue every
+ * queued prefetch at `cycle`, then complete every in-flight fill ready
+ * by `horizon` into the L1 (eviction listeners included).  The caller
+ * passes the horizon, so the constant lives only in hierarchy.py. */
+static PyObject *
+Driver_flush(DriverKernel *d, PyObject *args)
+{
+    long long cycle, horizon;
+    if (!PyArg_ParseTuple(args, "LL:flush", &cycle, &horizon))
+        return NULL;
+    while (d->pq_n)
+        drv_issue_prefetch(d, drv_pq_pop(d), cycle);
+    if (d->mshr_n && horizon >= d->mshr_min_ready)
+        drv_mshr_complete(d, horizon);
+#ifdef REPRO_DEBUG_KERNELS
+    if (d->mshr_n) {
+        dk_fail("flush", "in-flight fill beyond the flush horizon");
+        return NULL;
+    }
+#endif
+    DRV_CHECK(d);
+    Py_RETURN_NONE;
 }
 
 static void
@@ -3566,56 +3600,6 @@ fail:
 }
 
 static PyObject *
-Driver_export_mshr(DriverKernel *d, PyObject *Py_UNUSED(ignored))
-{
-    DRV_CHECK(d);
-    PyObject *lst = PyList_New(d->mshr_n);
-    if (!lst)
-        return NULL;
-    for (int i = 0; i < d->mshr_n; i++) {
-        PyObject *it = Py_BuildValue("(LLi)", d->mshr_block[i],
-                                     d->mshr_ready[i], (int)d->mshr_dram[i]);
-        if (!it) {
-            Py_DECREF(lst);
-            return NULL;
-        }
-        PyList_SET_ITEM(lst, i, it);
-    }
-    PyObject *mn;
-    if (d->mshr_min_ready == LLONG_MAX) {
-        mn = Py_None;
-        Py_INCREF(mn);
-    } else {
-        mn = PyLong_FromLongLong(d->mshr_min_ready);
-        if (!mn) {
-            Py_DECREF(lst);
-            return NULL;
-        }
-    }
-    return Py_BuildValue("(NN)", lst, mn);
-}
-
-static PyObject *
-Driver_export_pq(DriverKernel *d, PyObject *Py_UNUSED(ignored))
-{
-    PyObject *lst = PyList_New(d->pq_n);
-    if (!lst)
-        return NULL;
-    for (int i = 0; i < d->pq_n; i++) {
-        int idx = d->pq_head + i;
-        if (idx >= d->pq_cap)
-            idx -= d->pq_cap;
-        PyObject *v = PyLong_FromLongLong(d->pq[idx]);
-        if (!v) {
-            Py_DECREF(lst);
-            return NULL;
-        }
-        PyList_SET_ITEM(lst, i, v);
-    }
-    return Py_BuildValue("(NL)", lst, (long long)d->issue);
-}
-
-static PyObject *
 Driver_drain_stats(DriverKernel *d, PyObject *Py_UNUSED(ignored))
 {
     DRV_CHECK(d);
@@ -3653,6 +3637,9 @@ static PyMethodDef Driver_methods[] = {
     {"run", (PyCFunction)(void (*)(void))Driver_run, METH_FASTCALL,
      "run(addresses, pcs, blocks, gaps, kinds, index, budget, replays)\n"
      "-> (index, replays, executed, yielded); budget < 0 = one pass."},
+    {"flush", (PyCFunction)Driver_flush, METH_VARARGS,
+     "flush(cycle, horizon): issue every queued prefetch at cycle, then\n"
+     "complete every in-flight fill ready by horizon."},
     {"load_cache", (PyCFunction)Driver_load_cache, METH_VARARGS,
      "load_cache(level, [(block, flags), ...]) in per-set LRU->MRU order."},
     {"export_cache", (PyCFunction)Driver_export_cache, METH_VARARGS,
@@ -3665,10 +3652,6 @@ static PyMethodDef Driver_methods[] = {
      "load_dram(open_rows, bank_busy, channel_busy)."},
     {"export_dram", (PyCFunction)Driver_export_dram, METH_NOARGS,
      "-> (open_rows, bank_busy, channel_busy) with defaults omitted."},
-    {"export_mshr", (PyCFunction)Driver_export_mshr, METH_NOARGS,
-     "-> ([(block, ready, from_dram), ...], min_ready | None)."},
-    {"export_pq", (PyCFunction)Driver_export_pq, METH_NOARGS,
-     "-> ([packed, ...], convert_cycle)."},
     {"drain_stats", (PyCFunction)Driver_drain_stats, METH_NOARGS,
      "-> 42-tuple of stat deltas since the last drain; zeroes them."},
     {NULL, NULL, 0, NULL},

@@ -355,7 +355,8 @@ class MSHRFile:
         self._entries: Dict[int, "MSHREntry"] = {}
         # Earliest ready_cycle among outstanding entries; kept conservative
         # (never later than the true minimum) so expire() can skip its scan
-        # when no entry can possibly be ready yet.
+        # when no entry can possibly be ready yet.  An empty file holds
+        # exactly +inf.
         self._min_ready = float("inf")
 
     def __len__(self) -> int:
@@ -391,8 +392,16 @@ class MSHRFile:
         return self._entries.get(block)
 
     def remove(self, block: int) -> Optional["MSHREntry"]:
-        """Remove and return the entry for ``block``."""
-        return self._entries.pop(block, None)
+        """Remove and return the entry for ``block``.
+
+        No minimum recompute (the cached value stays a lower bound), except
+        that emptying the file resets it to +inf.
+        """
+        entries = self._entries
+        entry = entries.pop(block, None)
+        if not entries:
+            self._min_ready = _INF
+        return entry
 
     def expire(self, cycle: int) -> List["MSHREntry"]:
         """Remove and return all entries whose data has arrived by ``cycle``.
@@ -420,6 +429,7 @@ class MSHRFile:
 
 #: Shared empty result of :meth:`MSHRFile.expire`'s fast path.
 _NO_ENTRIES = ()
+_INF = float("inf")
 
 
 @dataclass(slots=True)

@@ -8,11 +8,19 @@ inside the extension's ``DriverKernel`` instead of
 module decides *whether* the C driver may engage for a given simulator
 (every shape/listener/quiescence condition the Python driver's fast paths
 rely on must hold), ships the live Python state into the kernel at attach
-time, keeps the Python-visible core/statistics state in sync after every
-batch call, and exports the hierarchy state back at detach so everything
-downstream (``flush_prefetches``, ``finalize``, goldens, state
-introspection) observes exactly what the Python driver would have left
-behind.
+time, and keeps the Python-visible core/statistics state in sync after
+every batch call.
+
+A run ends inside the kernel: :meth:`CompiledDriver.finish` performs the
+end-of-run prefetch flush in C (``DriverKernel.flush``, the twin of
+:meth:`~repro.sim.hierarchy.CacheHierarchy.flush_prefetches`), which leaves
+the prefetch queue and MSHR file empty, so only the statistics cross back.
+The cache and DRAM state stays in the kernel until someone reads
+``SingleCoreSimulator.hierarchy``; that read calls
+:meth:`CompiledDriver.detach`, which exports it onto the Python objects, so
+state introspection and a second ``run()`` observe exactly what the Python
+driver would have left behind.  ``simulate_trace`` keeps only the
+statistics and never pays for the export.
 
 Engagement is strictly opt-in (``kernel="compiled"``) and strictly
 conservative: :meth:`CompiledDriver.try_attach` declines — with a
@@ -37,9 +45,9 @@ from __future__ import annotations
 
 from typing import Optional, Tuple
 
-from repro.sim.cache import Cache, CacheBlock, MSHREntry
+from repro.sim.cache import Cache, CacheBlock
 from repro.sim.dram import DRAMModel
-from repro.sim.types import PrefetchHint, PrefetchRequest
+from repro.sim.hierarchy import FLUSH_HORIZON
 
 try:  # pragma: no cover - exercised only when the extension is built
     from repro import _kernels
@@ -290,8 +298,7 @@ class CompiledDriver:
         accounting must land in whichever object is current.
         """
         v = self._kernel.drain_stats()
-        sim = self._sim
-        hierarchy = sim.hierarchy
+        hierarchy = self._sim._hierarchy
         stats = hierarchy.stats
         stats.demand_accesses += v[0]
         stats.l1_hits += v[1]
@@ -337,20 +344,33 @@ class CompiledDriver:
         dram_stats.total_service_cycles += v[41]
 
     # ------------------------------------------------------------------ #
-    # Detach
+    # Finish and detach
     # ------------------------------------------------------------------ #
-    def detach(self) -> None:
-        """Export every piece of hierarchy state back onto the live objects.
+    def finish(self) -> None:
+        """End the run in C: the twin of ``flush_prefetches`` at the core's cycle.
 
-        After this returns, the simulator is indistinguishable from one
-        that ran the Python driver: ``flush_prefetches`` drains the same
-        queue entries into the same MSHR/caches, ``finalize`` sees the same
-        core state, and state-introspection tests read identical caches.
+        Every queued prefetch issues and every in-flight fill completes
+        inside the kernel, so the prefetch queue and MSHR file end empty in
+        both tiers.  The core needs no sync (the last :meth:`run_batch`
+        already wrote it back and the flush does not touch it); only the
+        flush's statistics deltas cross back.
         """
-        self._sync_core_out()
+        cycle = self._sim.core.current_cycle
+        self._kernel.flush(cycle, cycle + FLUSH_HORIZON)
         self._drain_stats()
+
+    def detach(self) -> None:
+        """Export the kernel's cache and DRAM state onto the live objects.
+
+        Called once, by the first read of ``SingleCoreSimulator.hierarchy``
+        after a compiled run.  Afterwards the hierarchy is indistinguishable
+        from one the Python driver ran: caches in LRU order with every flag
+        bit, and DRAM bank/row/channel timing.  The core and statistics are
+        already in sync, and the prefetch queue and MSHR file are empty
+        after :meth:`finish`.
+        """
         kernel = self._kernel
-        hierarchy = self._sim.hierarchy
+        hierarchy = self._sim._hierarchy
 
         for level, cache in ((1, hierarchy.l1d), (2, hierarchy.l2c), (3, hierarchy.llc)):
             sets = cache._sets
@@ -367,26 +387,6 @@ class CompiledDriver:
                 )
                 entry.useful_counted = bool(flags & _F_COUNTED)
                 sets[block & mask][block] = entry
-
-        mshr = hierarchy.l1_mshr
-        entries, min_ready = kernel.export_mshr()
-        mshr._entries.clear()
-        for block, ready, from_dram in entries:
-            mshr._entries[block] = MSHREntry(block, ready, True, 1, bool(from_dram))
-        mshr._min_ready = float("inf") if min_ready is None else min_ready
-
-        pq = hierarchy.prefetch_queue
-        packed, issue = kernel.export_pq()
-        if packed:
-            queue = pq._queue
-            convert_cycle = int(issue)
-            hint_l1 = PrefetchHint.L1
-            hint_l2 = PrefetchHint.L2
-            for p in packed:
-                request = PrefetchRequest(
-                    (p >> 1) << 6, hint_l1 if p & 1 else hint_l2, 0, ""
-                )
-                queue.append((request, convert_cycle))
 
         dram = hierarchy.dram
         open_rows, bank_busy, channel_busy = kernel.export_dram()

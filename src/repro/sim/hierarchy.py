@@ -32,6 +32,11 @@ from repro.sim.prefetch_queue import PrefetchQueue
 from repro.sim.stats import SimulationStats
 from repro.sim.types import AccessResult, PrefetchHint, PrefetchRequest, BLOCK_SHIFT
 
+#: Cycles past the flush cycle by which :meth:`CacheHierarchy.flush_prefetches`
+#: completes every in-flight fill.  The compiled driver receives it as an
+#: argument (``DriverKernel.flush``), so it is spelled only here.
+FLUSH_HORIZON = 10**9
+
 
 class CacheHierarchy:
     """L1D + L2C + LLC + DRAM with prefetch support for one core.
@@ -377,4 +382,4 @@ class CacheHierarchy:
         """Issue everything still queued and complete all in-flight fills."""
         for queued in self.prefetch_queue.drain_all():
             self._issue_prefetch(queued.request, cycle)
-        self._complete_ready_prefetches(cycle + 10**9)
+        self._complete_ready_prefetches(cycle + FLUSH_HORIZON)

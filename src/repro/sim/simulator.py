@@ -239,12 +239,16 @@ class SingleCoreSimulator:
         #: Why the C driver did not engage (``None`` when it did, or when
         #: it was never requested).
         self.kernel_decline_reason: Optional[str] = None
+        #: The C driver attached for the current :meth:`run`.
         self._driver = None
+        #: A finished C driver still holding the cache and DRAM state;
+        #: :attr:`hierarchy` exports it on first read.
+        self._unexported = None
         self.stats = SimulationStats(
             name=name,
             prefetcher=getattr(prefetcher, "name", "none") if prefetcher else "none",
         )
-        self.hierarchy = CacheHierarchy(self.config, stats=self.stats)
+        self._hierarchy = CacheHierarchy(self.config, stats=self.stats)
         self.core = CoreTimingModel(self.config.core)
         if prefetcher is not None and hasattr(prefetcher, "on_cache_eviction"):
             listeners = self.hierarchy.l1d.eviction_listeners
@@ -254,6 +258,22 @@ class SingleCoreSimulator:
             # second copy of the same listener.
             if self._notify_prefetcher_eviction not in listeners:
                 listeners.append(self._notify_prefetcher_eviction)
+
+    @property
+    def hierarchy(self) -> CacheHierarchy:
+        """The simulated cache hierarchy.
+
+        After a run on the compiled driver, the caches and DRAM state still
+        live in the C kernel; the first read exports them (see
+        :meth:`repro.sim.driver.CompiledDriver.detach`), and from then on
+        this is the ordinary Python object.  ``simulate_trace`` never reads
+        it, so it never pays for the export.
+        """
+        driver = self._unexported
+        if driver is not None:
+            self._unexported = None
+            driver.detach()
+        return self._hierarchy
 
     def _notify_prefetcher_eviction(self, victim) -> None:
         """Forward an L1D eviction to the prefetcher's region deactivation."""
@@ -291,6 +311,15 @@ class SingleCoreSimulator:
         ``warmup_instructions`` are executed first with full
         cache/prefetcher training but without resetting the cycle clock
         (statistics counters are cleared at the boundary).
+
+        The run ends by issuing every still-queued prefetch and completing
+        every in-flight fill, then finalizing the core.  On the compiled
+        driver that end-of-run flush happens inside the C kernel
+        (:meth:`~repro.sim.driver.CompiledDriver.finish`), and the cache
+        and DRAM state is exported only when :attr:`hierarchy` is next
+        read.  A run that raises skips the flush on either tier; after a
+        compiled run that raised, the export holds the caches and DRAM but
+        drops the kernel's queued prefetches and in-flight fills.
         """
         if batch not in BATCH_MODES:
             raise ValueError(
@@ -302,7 +331,10 @@ class SingleCoreSimulator:
             # (the historical behaviour).  Re-openable handles replay by
             # re-opening and stay O(1)-memory.
             trace = list(trace)
-        if batch != "off" and self.hierarchy.l1d._set_mask is not None:
+        # Reading the property exports whatever state a previous compiled
+        # run left in its kernel, before this run touches the hierarchy.
+        hierarchy = self.hierarchy
+        if batch != "off" and hierarchy.l1d._set_mask is not None:
             # The batched kernel requires the mask-based set geometry (every
             # configuration of the paper); odd set counts stay scalar.
             decoded = decode_trace(trace)
@@ -348,14 +380,15 @@ class SingleCoreSimulator:
                         max_instructions = replayer.count_pass_instructions()
             self._execute(replayer, max_instructions)
         finally:
-            driver = self._driver
-            if driver is not None:
-                self._driver = None
-                driver.detach()
+            # The kernel keeps the hierarchy state until someone reads it.
+            self._unexported, self._driver = self._driver, None
         if not replayer.yielded_any:
             raise ValueError("cannot simulate an empty trace")
 
-        self.hierarchy.flush_prefetches(self.core.current_cycle)
+        if self._unexported is not None:
+            self._unexported.finish()
+        else:
+            self._hierarchy.flush_prefetches(self.core.current_cycle)
         instructions, cycles = self.core.finalize()
         self.stats.instructions = instructions - start_instr
         self.stats.cycles = max(1, int(cycles - start_cycles))
@@ -1417,6 +1450,8 @@ class SingleCoreSimulator:
                             remaining if remaining > l1_latency else l1_latency
                         )
                         del mshr_entries[block]
+                        if not mshr_entries:
+                            l1_mshr._min_ready = INF
                         is_pf = inflight.is_prefetch
                         inflight_dram = inflight.from_dram
                         l1_set = l1_sets[block & l1_mask]

@@ -5,14 +5,18 @@ C ``DriverKernel`` (:mod:`repro.sim.driver`) for the bare no-prefetcher run
 and the four designs with full C twins (vberti, gaze, pmp, triangel);
 everything else silently falls back to the Python driver.  Both paths must
 be *bit-identical* for every statistic and for the complete hierarchy state
-the driver syncs back on detach — caches (contents, flags and LRU order),
+a caller reads after the run — caches (contents, flags and LRU order),
 MSHR file, prefetch queue, DRAM bank/row/channel timing and the core model.
+A compiled run flushes its prefetch queue and MSHR file inside the kernel
+and exports the caches and DRAM only on the first read of
+``sim.hierarchy``.
 
 These tests pin that equivalence over every registered prefetcher, over
 chunked file-backed streams with warmup/budget cuts landing mid-run and
-MSHR fills straddling chunk boundaries, the tier bookkeeping that makes a
-fallen-back "compiled" run visible, and the PMP/Triangel train twins the
-driver dispatches to.
+MSHR fills straddling chunk boundaries, the end-of-run flush with
+prefetches still queued and fills still in flight, the lazy export, the
+tier bookkeeping that makes a fallen-back "compiled" run visible, and the
+PMP/Triangel train twins the driver dispatches to.
 
 All equality assertions hold whether or not the extension is built (the
 fallback is the identity); tests that require the C driver to *engage* are
@@ -27,12 +31,15 @@ from repro.experiments.bench import BENCH_SCHEMA, BenchCase
 from repro.prefetchers import available_prefetchers, create_prefetcher
 from repro.prefetchers.compiled import compiled_available, compiled_twin
 from repro.sim.batch import ChunkedTraceStream
-from repro.sim.driver import driver_available
+from repro.sim.cache import MSHRFile
+from repro.sim.driver import CompiledDriver, driver_available
+from repro.sim.prefetch_queue import PrefetchQueue
 from repro.sim.simulator import (
     SingleCoreSimulator,
     resolve_kernel,
     simulate_trace,
 )
+from repro.sim.types import MemoryAccess
 from repro.workloads import formats as trace_formats
 from repro.workloads.trace import TraceSpec
 
@@ -174,7 +181,7 @@ class TestChunkedDriver:
 
 
 # --------------------------------------------------------------------------- #
-# Hierarchy state after detach
+# Hierarchy state after the run
 # --------------------------------------------------------------------------- #
 def _hierarchy_state(sim):
     def cache_state(cache):
@@ -219,11 +226,11 @@ def _hierarchy_state(sim):
 class TestDriverStateSync:
     @requires_driver
     @pytest.mark.parametrize("name", DRIVER_PREFETCHERS)
-    def test_detach_restores_exact_hierarchy_state(self, name):
+    def test_lazy_export_restores_exact_hierarchy_state(self, name):
         # Not just the counters: cache contents in LRU order with all five
         # flag bits, in-flight MSHR entries, queued prefetches, DRAM
         # bank/row/channel timing and the core model must match what the
-        # Python driver leaves behind.
+        # Python driver leaves behind once ``sim.hierarchy`` is read.
         trace = _trace(generator="spatial", seed=17, length=1_500)
         sims = {}
         for kernel in ("python", "compiled"):
@@ -235,7 +242,7 @@ class TestDriverStateSync:
             sims[kernel] = sim
         assert _hierarchy_state(sims["python"]) == _hierarchy_state(
             sims["compiled"]
-        ), f"hierarchy state diverged after detach ({name})"
+        ), f"hierarchy state diverged after the run ({name})"
 
     @requires_driver
     def test_compiled_driver_actually_engaged(self):
@@ -243,6 +250,165 @@ class TestDriverStateSync:
         sim.run(_trace(length=400))
         assert sim.kernel_tier_used == "compiled-driver"
         assert sim.kernel_decline_reason is None
+
+
+# --------------------------------------------------------------------------- #
+# End-of-run flush in C
+# --------------------------------------------------------------------------- #
+def _eager_triangel():
+    from repro.prefetchers.temporal import TriangelPrefetcher
+
+    # Eager parameters (as in the twin test below) so predictions issue
+    # within a few passes.
+    return TriangelPrefetcher(
+        sample_rate=1, train_threshold=1, predict_threshold=1,
+        distance=4, degree=2,
+    )
+
+
+def _conflict_loop():
+    # 22 blocks in one L1 set (64 sets apart), looped: the 12-way set
+    # thrashes, so every access misses the L1 and trains Triangel.
+    loop = [
+        MemoryAccess(0x400, (0x1000 + 64 * k) << 6, instr_gap=k % 3)
+        for k in range(22)
+    ]
+    return loop * 6
+
+
+#: Per driver design: a trace whose end leaves prefetches queued and L1
+#: fills in flight under every cut below, and the prefetcher factory.
+TAIL_CASES = {
+    "vberti": (lambda: _trace("strided", seed=1), lambda: _prefetcher("vberti")),
+    "gaze": (lambda: _trace("cloud", seed=17), lambda: _prefetcher("gaze")),
+    "pmp": (lambda: _trace("spatial", seed=8), lambda: _prefetcher("pmp")),
+    "triangel": (_conflict_loop, _eager_triangel),
+}
+
+
+def _cut(trace, cut):
+    """``(warmup, budget)``: a full pass, a warmup cut, or a budget that
+    ends halfway through the replayed second pass."""
+    per_pass = sum(access.instr_gap + 1 for access in trace)
+    return {
+        "one-pass": (0, None),
+        "warmup": (per_pass // 3, None),
+        "budget-mid-replay": (0, per_pass + per_pass // 2),
+    }[cut]
+
+
+class TestTailFlush:
+    @requires_driver
+    @pytest.mark.parametrize("cut", ["one-pass", "warmup", "budget-mid-replay"])
+    @pytest.mark.parametrize("name", sorted(TAIL_CASES))
+    def test_flush_in_c_matches_python(self, name, cut, monkeypatch):
+        build_trace, build_prefetcher = TAIL_CASES[name]
+        trace = build_trace()
+        warmup, budget = _cut(trace, cut)
+
+        drained, expired = [], []
+        drain_all, expire = PrefetchQueue.drain_all, MSHRFile.expire
+
+        def spy_drain_all(queue):
+            out = drain_all(queue)
+            drained.append(len(out))
+            return out
+
+        def spy_expire(mshr, cycle):
+            out = expire(mshr, cycle)
+            expired.append(len(out))
+            return out
+
+        monkeypatch.setattr(PrefetchQueue, "drain_all", spy_drain_all)
+        monkeypatch.setattr(MSHRFile, "expire", spy_expire)
+
+        results, calls = {}, {}
+        for kernel in ("python", "compiled"):
+            drained.clear()
+            expired.clear()
+            sim = SingleCoreSimulator(
+                prefetcher=resolve_kernel(build_prefetcher(), kernel),
+                kernel=kernel,
+            )
+            stats = sim.run(
+                trace, warmup_instructions=warmup, max_instructions=budget
+            )
+            calls[kernel] = (list(drained), list(expired))
+            results[kernel] = (_stats_dict(stats), _hierarchy_state(sim))
+            if kernel == "compiled":
+                assert sim.kernel_tier_used == "compiled-driver"
+
+        # The Python flush had work on both halves: its drain_all issued
+        # queued prefetches, and its final expire (at the flush horizon)
+        # completed in-flight fills.  The compiled run did the same in C.
+        py_drained, py_expired = calls["python"]
+        assert py_drained and py_drained[-1] > 0, "no prefetch queued at the end"
+        assert py_expired and py_expired[-1] > 0, "no fill in flight at the end"
+        assert calls["compiled"] == ([], []), "compiled run flushed in Python"
+        assert results["python"] == results["compiled"], (
+            f"C flush diverged from flush_prefetches ({name}, {cut})"
+        )
+
+
+# --------------------------------------------------------------------------- #
+# Lazy export
+# --------------------------------------------------------------------------- #
+@pytest.fixture
+def detach_calls(monkeypatch):
+    """Count calls of ``CompiledDriver.detach``, the lazy export."""
+    calls = []
+    detach = CompiledDriver.detach
+
+    def spy(driver):
+        calls.append(driver)
+        return detach(driver)
+
+    monkeypatch.setattr(CompiledDriver, "detach", spy)
+    return calls
+
+
+class TestLazyExport:
+    @requires_driver
+    def test_simulate_trace_never_exports(self, detach_calls):
+        stats = _run(_trace(length=900), "gaze", "compiled", record_tier=True)
+        assert stats.extra["kernel_tier"] == "compiled-driver"
+        assert detach_calls == []
+
+    @requires_driver
+    def test_first_hierarchy_read_exports_once(self, detach_calls):
+        sim = SingleCoreSimulator(
+            prefetcher=resolve_kernel(_prefetcher("gaze"), "compiled"),
+            kernel="compiled",
+        )
+        sim.run(_trace(length=900))
+        assert sim.kernel_tier_used == "compiled-driver"
+        assert detach_calls == []
+        sim.hierarchy
+        assert len(detach_calls) == 1
+        sim.hierarchy.l1d
+        _hierarchy_state(sim)
+        assert len(detach_calls) == 1
+
+    @pytest.mark.parametrize("name", DRIVER_PREFETCHERS)
+    def test_second_run_on_one_simulator(self, name):
+        # The second run() reads sim.hierarchy, which exports the first
+        # run's kernel state before the driver attaches again.
+        first_trace = _trace(generator="spatial", seed=17, length=1_000)
+        second_trace = _trace(generator="cloud", seed=4, length=1_000)
+        results = {}
+        for kernel in ("python", "compiled"):
+            sim = SingleCoreSimulator(
+                prefetcher=resolve_kernel(_prefetcher(name), kernel),
+                kernel=kernel,
+            )
+            first = _stats_dict(sim.run(first_trace))
+            second = _stats_dict(sim.run(second_trace))
+            results[kernel] = (first, second, _hierarchy_state(sim))
+            if kernel == "compiled" and driver_available():
+                assert sim.kernel_tier_used == "compiled-driver"
+        assert results["python"] == results["compiled"], (
+            f"second run on one simulator diverged ({name})"
+        )
 
 
 # --------------------------------------------------------------------------- #
@@ -319,8 +485,8 @@ class TestDebugKernels:
 
     @requires_driver
     def test_boundary_sweep_passes_on_real_runs(self):
-        # Attach, chunked run, detach: every DRV_CHECK call site fires on
-        # a debug build and must stay silent on healthy state.
+        # Attach, run, flush, drain: every DRV_CHECK call site fires on a
+        # debug build and must stay silent on healthy state.
         for name in DRIVER_PREFETCHERS:
             stats = _run(_trace(length=900), name, "compiled", record_tier=True)
             assert stats.extra["kernel_tier"] == "compiled-driver"
