@@ -1,7 +1,7 @@
 """Setup shim: editable installs plus the *optional* compiled kernel tier.
 
-The C extension ``repro._kernels`` accelerates the flat prefetcher train
-loops (see ``src/repro/prefetchers/compiled.py``) and carries the
+The C extension ``repro._kernels`` accelerates the Gaze, vBerti, PMP and
+Triangel train loops (see ``src/repro/prefetchers/compiled.py``) and carries the
 ``DriverKernel`` batched driver loop (see ``src/repro/sim/driver.py``),
 which runs the whole single-core simulation chunk-at-a-time in C under
 ``kernel="compiled"``.  It is strictly optional —

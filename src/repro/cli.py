@@ -142,7 +142,7 @@ def _build_parser() -> argparse.ArgumentParser:
                           "bit-identical either way")
     run.add_argument("--kernel", choices=("auto", "python", "compiled"),
                      default="auto",
-                     help="prefetcher-state tier for single-core jobs: "
+                     help="prefetcher tier for single-core jobs: "
                           "engine default (auto), pure Python (python), or "
                           "the optional C extension with silent fallback "
                           "when it is not built (compiled; build it with "
@@ -214,7 +214,7 @@ def _build_parser() -> argparse.ArgumentParser:
                             "over the shared cases")
     bench.add_argument("--kernel", choices=("auto", "python", "compiled"),
                        default="auto",
-                       help="prefetcher-state tier for single-core cases "
+                       help="prefetcher tier for single-core cases "
                             "(mix cases keep the engine default); case keys "
                             "are tier-independent, so a compiled-tier run's "
                             "per-case ratios against a pure-Python baseline "
@@ -595,7 +595,7 @@ def _cmd_bench(args: argparse.Namespace) -> int:
     if args.kernel == "compiled" and not result.get("compiled_kernel_available"):
         print(
             "note: compiled kernel extension not built; single-core cases "
-            "fell back to the pure-Python flat tier "
+            "fell back to the pure-Python tier "
             "(`python setup.py build_ext --inplace` to build it)",
             file=sys.stderr,
         )

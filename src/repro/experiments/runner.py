@@ -197,7 +197,7 @@ class ExperimentRunner:
                 single-core job (``"auto"``/``"on"``/``"off"``, see
                 :class:`~repro.experiments.jobs.SimulationJob`); results
                 are bit-identical for every value.
-            kernel: prefetcher-state tier forwarded to every single-core
+            kernel: prefetcher tier forwarded to every single-core
                 job (``"auto"``/``"python"``/``"compiled"``, see
                 :class:`~repro.experiments.jobs.SimulationJob`); like
                 ``batch``, results are bit-identical for every value and

@@ -54,11 +54,12 @@ from repro.sim.types import (
 #: Accepted values of the ``batch`` execution knob.
 BATCH_MODES = ("auto", "on", "off")
 
-#: Accepted values of the ``kernel`` execution knob: the prefetcher-state
-#: tier.  ``"auto"``/``"python"`` run the (pure-Python) tier the registry
-#: selected; ``"compiled"`` swaps flat-state prefetchers for their C twins
-#: when the optional :mod:`repro._kernels` extension is built, falling
-#: back silently otherwise.  All tiers are bit-exact, so this is purely a
+#: Accepted values of the ``kernel`` execution knob: the prefetcher tier.
+#: ``"auto"``/``"python"`` run the registry's Python object classes;
+#: ``"compiled"`` swaps Gaze, vBerti, PMP and Triangel for their C twins
+#: (:mod:`repro.prefetchers.compiled`) when the optional
+#: :mod:`repro._kernels` extension is built, falling back silently
+#: otherwise.  All tiers are bit-exact, so this is purely a
 #: performance knob (and is excluded from job cache keys, like ``batch``).
 KERNEL_MODES = ("auto", "python", "compiled")
 
@@ -67,7 +68,7 @@ def resolve_kernel(prefetcher, kernel: str):
     """Apply the ``kernel`` knob to ``prefetcher`` (graceful fallback).
 
     Returns the prefetcher to simulate with: the compiled twin under
-    ``kernel="compiled"`` when one is available (flat-state prefetcher,
+    ``kernel="compiled"`` when one is available (a design with a C twin,
     supported geometry, extension built), the input unchanged otherwise.
     """
     if kernel not in KERNEL_MODES:
@@ -1132,8 +1133,9 @@ class SingleCoreSimulator:
             # are stored as packed ints — ``block << 1 | to_l1`` — and
             # issued through :meth:`CacheHierarchy._issue_prefetch`'s body
             # inlined below against the already-bound cache locals, so no
-            # :class:`PrefetchRequest` travels through the hot path.  Flat
-            # prefetchers (``train_flat``) produce packed ints natively;
+            # :class:`PrefetchRequest` travels through the hot path.  Packed-
+            # protocol prefetchers (``train_flat``: PMP and the compiled
+            # twins) produce packed ints natively;
             # object prefetchers' requests are packed at enqueue (the sim
             # layer only ever reads ``address`` and ``hint``, and every
             # non-L1 hint takes the L2 fill branch, so the single to-L1 bit
@@ -1720,7 +1722,7 @@ class SingleCoreSimulator:
 
                 if kind == 0 and train is not None:
                     if train_flat is not None and use_packed:
-                        # Flat protocol: packed ints straight from the
+                        # Packed protocol: packed ints straight from the
                         # prefetcher, enqueued with push()'s bookkeeping
                         # batched per call as enqueue_prefetches does.
                         packed = train_flat(pc, address, issue_cycle, latency)
