@@ -19,10 +19,19 @@
  * code.  The all-tier equality suite (``tests/test_kernel_tiers.py``) pins
  * the equivalence on every registered prefetcher.
  *
- * Geometry limits: the Gaze kernel requires ``blocks_per_region <= 64``
- * (region footprints are single uint64 masks); the wrapper falls back to
- * the Python implementation otherwise.  Table lookups are linear
- * scans over the capacity, sized for the paper's 32..64-entry tables.
+ * Geometry limits: the caps below bound the fixed-size scratch buffers
+ * (and, for regions, the uint64 footprint masks); each constructor
+ * rejects a larger geometry and ``compiled_twin`` declines it, so the
+ * Python implementation runs instead.  Table lookups are linear scans
+ * over the capacity, sized for the paper's 32..64-entry tables.
+ *
+ * Shared constants
+ * ----------------
+ * Every constant the Python side also needs is defined once, here, and
+ * exported as a module attribute of the same name (``PyInit__kernels``);
+ * Python reads ``_kernels.<NAME>`` instead of spelling a copy.  The
+ * oracle-owned ones mirror a Python definition and are pinned to it by
+ * ``tests/test_kernel_tiers.py``.
  */
 
 #define PY_SSIZE_T_CLEAN
@@ -37,6 +46,22 @@
  * far beyond any realistic run, but finite so the renormalisation on
  * wraparound is reachable. */
 #define STAMP_LIMIT (1LL << 60)
+
+/* Oracle-owned: ``repro.sim.types.BLOCK_SHIFT`` (64-byte blocks), and
+ * from ``repro.prefetchers.berti`` the vBerti PC-table key mask and the
+ * per-PC ``rounds`` count at which rounds and occurrences halve. */
+#define BLOCK_SHIFT 6
+#define BERTI_PC_MASK 0xFFFF
+#define BERTI_ROUNDS_LIMIT 64
+
+/* C-owned geometry caps. */
+#define BERTI_MAX_HISTORY 64   /* history_per_pc (seen[] scratch)          */
+#define BERTI_MAX_DELTAS 64    /* max_deltas_per_pc (cand[], out_buf)      */
+#define MAX_REGION_BLOCKS 64   /* Gaze/PMP blocks_per_region (uint64 masks) */
+#define TRIANGEL_MAX_DEGREE 64 /* Triangel degree (out_buf)                */
+/* Length of the vBerti per-``rounds`` threshold tables: ``rounds`` stays
+ * below BERTI_ROUNDS_LIMIT, so every reachable value indexes them. */
+#define BERTI_THR_ENTRIES BERTI_ROUNDS_LIMIT
 
 static inline uint64_t
 mask_n(int n)
@@ -263,8 +288,8 @@ typedef struct {
     long long window_blocks;
     long long cand_off;
     int cand_shift;
-    long long l1_thr[64];
-    long long l2_thr[64];
+    long long l1_thr[BERTI_THR_ENTRIES];
+    long long l2_thr[BERTI_THR_ENTRIES];
     FTable table;
     long long *hist_block;
     long long *hist_cycle;
@@ -275,7 +300,7 @@ typedef struct {
     long long *d_tim;
     int *d_cnt;
     long long *rounds;
-    long long out_buf[64]; /* packed prefetches from the last train_impl */
+    long long out_buf[BERTI_MAX_DELTAS]; /* last train_impl's prefetches */
 } BertiKernel;
 
 static void
@@ -300,12 +325,13 @@ load_thr_table(PyObject *seq, long long *out, const char *name)
     PyObject *fast = PySequence_Fast(seq, "threshold table must be a sequence");
     if (!fast)
         return -1;
-    if (PySequence_Fast_GET_SIZE(fast) != 64) {
+    if (PySequence_Fast_GET_SIZE(fast) != BERTI_THR_ENTRIES) {
         Py_DECREF(fast);
-        PyErr_Format(PyExc_ValueError, "%s must have 64 entries", name);
+        PyErr_Format(PyExc_ValueError, "%s must have %d entries", name,
+                     BERTI_THR_ENTRIES);
         return -1;
     }
-    for (int i = 0; i < 64; i++) {
+    for (int i = 0; i < BERTI_THR_ENTRIES; i++) {
         out[i] = PyLong_AsLongLong(PySequence_Fast_GET_ITEM(fast, i));
         if (out[i] == -1 && PyErr_Occurred()) {
             Py_DECREF(fast);
@@ -335,11 +361,12 @@ Berti_init(BertiKernel *self, PyObject *args, PyObject *kwds)
         PyErr_SetString(PyExc_ValueError, "table sizes must be positive");
         return -1;
     }
-    if (self->hist_cap > 64 || self->max_deltas > 64) {
-        /* Stack scratch buffers in train() are sized for the paper's
-         * 16-entry tables; the wrapper falls back to Python beyond 64. */
-        PyErr_SetString(PyExc_ValueError,
-                        "BertiKernel supports at most 64 history/delta entries");
+    if (self->hist_cap > BERTI_MAX_HISTORY ||
+        self->max_deltas > BERTI_MAX_DELTAS) {
+        /* Stack scratch buffers in train() are sized by the caps. */
+        PyErr_Format(PyExc_ValueError,
+                     "BertiKernel supports at most %d history and %d delta "
+                     "entries", BERTI_MAX_HISTORY, BERTI_MAX_DELTAS);
         return -1;
     }
     if (load_thr_table(l2_thr, self->l2_thr, "l2_occ_thr") < 0)
@@ -387,8 +414,8 @@ static int
 berti_train_impl(BertiKernel *self, long long pc, long long address,
                  long long cycle, long long latency)
 {
-    long long block = address >> 6;
-    long long key = pc & 0xFFFF;
+    long long block = address >> BLOCK_SHIFT;
+    long long key = pc & BERTI_PC_MASK;
     FTable *t = &self->table;
     int slot = ft_find(t, key);
     if (slot < 0) {
@@ -420,7 +447,7 @@ berti_train_impl(BertiKernel *self, long long pc, long long address,
     if (hlen > 0) {
         const long long window = self->window_blocks;
         const long long thr = cycle - latency;
-        long long seen[64]; /* <= hist_cap distinct deltas per call */
+        long long seen[BERTI_MAX_HISTORY]; /* <= hist_cap distinct deltas */
         int seen_n = 0;
         for (int h = 0; h < hlen; h++) {
             int pos = hstart + h;
@@ -479,7 +506,7 @@ berti_train_impl(BertiKernel *self, long long pc, long long address,
         }
     }
     rounds += 1;
-    if (!(rounds & 63)) {
+    if (rounds % BERTI_ROUNDS_LIMIT == 0) {
         rounds >>= 1;
         for (int d = 0; d < dcnt; d++) {
             long long occ = docc[d] >> 1;
@@ -514,7 +541,7 @@ berti_train_impl(BertiKernel *self, long long pc, long long address,
     const long long thr_l2 = self->l2_thr[rounds];
     const long long cand_off = self->cand_off;
     const int cand_shift = self->cand_shift;
-    long long cand[64];
+    long long cand[BERTI_MAX_DELTAS];
     int cand_n = 0;
     for (int d = 0; d < dcnt; d++) {
         long long occ = docc[d];
@@ -650,7 +677,7 @@ typedef struct {
     long long streaming_predictions;
     long long backup_activations;
     long long promotions;
-    long long out_buf[64]; /* packed prefetches from the last train_impl */
+    long long out_buf[MAX_REGION_BLOCKS]; /* last train_impl's prefetches */
 } GazeKernel;
 
 static void
@@ -700,9 +727,15 @@ Gaze_init(GazeKernel *self, PyObject *args, PyObject *kwds)
             &dpct_entries, &dc_bits, &self->enable_streaming,
             &self->enable_pht, &self->stride_backup))
         return -1;
-    if (self->blocks <= 0 || self->blocks > 64) {
+    if (self->blocks <= 0 || self->blocks > MAX_REGION_BLOCKS) {
+        PyErr_Format(PyExc_ValueError,
+                     "GazeKernel requires 1 <= blocks_per_region <= %d",
+                     MAX_REGION_BLOCKS);
+        return -1;
+    }
+    if (self->region_size % (1LL << BLOCK_SHIFT)) {
         PyErr_SetString(PyExc_ValueError,
-                        "GazeKernel requires 1 <= blocks_per_region <= 64");
+                        "GazeKernel requires whole blocks per region");
         return -1;
     }
     if ((self->region_size & (self->region_size - 1)) == 0) {
@@ -920,7 +953,7 @@ pb_pop_requests_impl(GazeKernel *self, int slot, long long region)
 {
     uint64_t m1 = self->pb_l1[slot];
     uint64_t pending_mask = m1 | self->pb_l2[slot];
-    long long base_block = (region * self->region_size) >> 6;
+    long long base_block = (region * self->region_size) >> BLOCK_SHIFT;
     uint64_t taken = 0, taken_l1 = 0;
     int count = 0;
     const int limit = self->pb_limit;
@@ -1130,10 +1163,10 @@ gaze_train_impl(GazeKernel *self, long long pc, long long address)
     long long region, offset;
     if (self->region_shift >= 0) {
         region = address >> self->region_shift;
-        offset = (address >> 6) & (long long)self->offset_mask;
+        offset = (address >> BLOCK_SHIFT) & (long long)self->offset_mask;
     } else {
         region = address / self->region_size;
-        offset = (address % self->region_size) >> 6;
+        offset = (address % self->region_size) >> BLOCK_SHIFT;
     }
 
     int slot = ft_find(&self->at, region);
@@ -1198,9 +1231,9 @@ gaze_evict_impl(GazeKernel *self, long long block)
 {
     long long region;
     if (self->region_shift >= 0)
-        region = block >> (self->region_shift - 6);
+        region = block >> (self->region_shift - BLOCK_SHIFT);
     else
-        region = (block << 6) / self->region_size;
+        region = (block << BLOCK_SHIFT) / self->region_size;
     int slot = ft_find(&self->at, region);
     if (slot >= 0) {
         learn_slot(self, slot);
@@ -1318,7 +1351,7 @@ typedef struct {
     /* offset pattern table: blocks x blocks counters + merge counts */
     int *opt;
     int *merge_counts;
-    long long out_buf[64]; /* packed prefetches from the last train_impl */
+    long long out_buf[MAX_REGION_BLOCKS]; /* last train_impl's prefetches */
 } PMPKernel;
 
 static void
@@ -1380,9 +1413,10 @@ PMP_init(PMPKernel *self, PyObject *args, PyObject *kwds)
             &self->blocks, &self->region_size, &ft_entries, &at_entries,
             &self->max_confidence, &self->anchor, &l1_min, &l2_min))
         return -1;
-    if (self->blocks <= 0 || self->blocks > 64) {
-        PyErr_SetString(PyExc_ValueError,
-                        "PMPKernel requires 1 <= blocks_per_region <= 64");
+    if (self->blocks <= 0 || self->blocks > MAX_REGION_BLOCKS) {
+        PyErr_Format(PyExc_ValueError,
+                     "PMPKernel requires 1 <= blocks_per_region <= %d",
+                     MAX_REGION_BLOCKS);
         return -1;
     }
     if (self->max_confidence <= 0) {
@@ -1463,10 +1497,10 @@ pmp_train_impl(PMPKernel *self, long long address)
     long long region, offset;
     if (self->region_shift >= 0) {
         region = address >> self->region_shift;
-        offset = (address >> 6) & (long long)(self->blocks - 1);
+        offset = (address >> BLOCK_SHIFT) & (long long)(self->blocks - 1);
     } else {
         region = address / self->region_size;
-        offset = (address % self->region_size) >> 6;
+        offset = (address % self->region_size) >> BLOCK_SHIFT;
     }
 
     /* Tracked region: accumulate the footprint, nothing to predict. */
@@ -1547,9 +1581,9 @@ pmp_evict_impl(PMPKernel *self, long long block)
 {
     long long region;
     if (self->region_shift >= 0)
-        region = block >> (self->region_shift - 6);
+        region = block >> (self->region_shift - BLOCK_SHIFT);
     else
-        region = (block << 6) / self->region_size;
+        region = (block << BLOCK_SHIFT) / self->region_size;
     int slot = ft_find(&self->at, region);
     if (slot >= 0) {
         pmp_merge(self, self->at_trig[slot], self->at_foot[slot]);
@@ -1626,7 +1660,7 @@ typedef struct {
     long long *mk_succ;
     int *mk_conf;
     int *mk_count;
-    long long out_buf[64]; /* packed prefetches from the last train_impl */
+    long long out_buf[TRIANGEL_MAX_DEGREE]; /* last train_impl's prefetches */
 } TriangelKernel;
 
 static void
@@ -1674,10 +1708,11 @@ Triangel_init(TriangelKernel *self, PyObject *args, PyObject *kwds)
                         "sample_rate, degree and distance must be positive");
         return -1;
     }
-    if (self->degree > 64) {
+    if (self->degree > TRIANGEL_MAX_DEGREE) {
         /* The predict walk keeps its `seen` set on the stack. */
-        PyErr_SetString(PyExc_ValueError,
-                        "TriangelKernel supports at most degree 64");
+        PyErr_Format(PyExc_ValueError,
+                     "TriangelKernel supports at most degree %d",
+                     TRIANGEL_MAX_DEGREE);
         return -1;
     }
     if (ft_init(&self->training, training_entries) < 0 ||
@@ -1784,7 +1819,7 @@ mk_update(TriangelKernel *self, long long prev_block, long long block)
 static int
 triangel_train_impl(TriangelKernel *self, long long pc, long long address)
 {
-    long long block = address >> 6;
+    long long block = address >> BLOCK_SHIFT;
     FTable *tr = &self->training;
     int slot = ft_find(tr, pc);
     if (slot < 0) {
@@ -1852,7 +1887,7 @@ triangel_train_impl(TriangelKernel *self, long long pc, long long address)
         return -1;
 
     /* ---- predict: chained Markov walk, all L1 hints ---- */
-    long long seen[65];
+    long long seen[TRIANGEL_MAX_DEGREE + 1];
     int seen_n = 0;
     seen[seen_n++] = block;
     long long current = block;
@@ -1934,19 +1969,15 @@ static PyTypeObject TriangelKernelType = {
  * never leave C) and exports caches and DRAM only when Python reads
  * the hierarchy afterwards.                                           */
 
+/* Cache-block flag bits of load_cache/export_cache rows (exported). */
 #define CB_PREFETCHED 1u
 #define CB_USEFUL 2u
 #define CB_FROM_DRAM 4u
 #define CB_DIRTY 8u
 #define CB_COUNTED 16u
 
-enum {
-    DRV_PF_NONE = 0,
-    DRV_PF_BERTI = 1,
-    DRV_PF_GAZE = 2,
-    DRV_PF_PMP = 3,
-    DRV_PF_TRIANGEL = 4,
-};
+/* Attached prefetcher path, derived from the train kernel's type. */
+enum { DRV_PF_NONE, DRV_PF_BERTI, DRV_PF_GAZE, DRV_PF_PMP, DRV_PF_TRIANGEL };
 
 /* One set-associative cache level: rows stored LRU -> MRU (index 0 is
  * the eviction victim, mirroring dict insertion order in the oracle). */
@@ -3136,7 +3167,7 @@ Driver_init(DriverKernel *self, PyObject *args, PyObject *kwds)
         "dram_channels", "dram_banks", "dram_row_div", "dram_row_hit",
         "dram_row_miss", "dram_transfer",
         "width", "fetch_increment", "rob", "lq", "miss_limit",
-        "miss_threshold", "ptype", "kernel", NULL,
+        "miss_threshold", "kernel", NULL,
     };
     int l1_sets, l1_ways, l2_sets, l2_ways, llc_sets, llc_ways;
     long long lat_l1, lat_l2, lat_llc, lat_l2_source, lat_llc_source;
@@ -3149,17 +3180,16 @@ Driver_init(DriverKernel *self, PyObject *args, PyObject *kwds)
     long long rob, lq;
     int miss_limit;
     long long miss_threshold;
-    int ptype;
     PyObject *kernel;
     if (!PyArg_ParseTupleAndKeywords(
-            args, kwds, "iiiiiiLLLLLiiiiiLLLdidLLiLiO", kwlist,
+            args, kwds, "iiiiiiLLLLLiiiiiLLLdidLLiLO", kwlist,
             &l1_sets, &l1_ways, &l2_sets, &l2_ways, &llc_sets, &llc_ways,
             &lat_l1, &lat_l2, &lat_llc, &lat_l2_source, &lat_llc_source,
             &mshr_capacity, &pq_capacity, &pq_drain,
             &dram_channels, &dram_banks, &dram_row_div, &dram_row_hit,
             &dram_row_miss, &dram_transfer,
             &width, &fetch_increment, &rob, &lq, &miss_limit,
-            &miss_threshold, &ptype, &kernel))
+            &miss_threshold, &kernel))
         return -1;
     if (!drv_pow2(l1_sets) || !drv_pow2(l2_sets) || !drv_pow2(llc_sets)
         || l1_ways < 1 || l2_ways < 1 || llc_ways < 1) {
@@ -3174,34 +3204,22 @@ Driver_init(DriverKernel *self, PyObject *args, PyObject *kwds)
         PyErr_SetString(PyExc_ValueError, "invalid driver parameters");
         return -1;
     }
-    PyTypeObject *want = NULL;
-    switch (ptype) {
-    case DRV_PF_NONE:
-        break;
-    case DRV_PF_BERTI:
-        want = &BertiKernelType;
-        break;
-    case DRV_PF_GAZE:
-        want = &GazeKernelType;
-        break;
-    case DRV_PF_PMP:
-        want = &PMPKernelType;
-        break;
-    case DRV_PF_TRIANGEL:
-        want = &TriangelKernelType;
-        break;
-    default:
-        PyErr_SetString(PyExc_ValueError, "unknown ptype");
-        return -1;
-    }
-    if (want == NULL) {
-        if (kernel != Py_None) {
-            PyErr_SetString(PyExc_TypeError, "ptype 0 takes kernel=None");
-            return -1;
-        }
-    } else if (!PyObject_TypeCheck(kernel, want)) {
-        PyErr_Format(PyExc_TypeError, "kernel must be a %s instance",
-                     want->tp_name);
+    /* The train kernel's type selects the prefetcher path. */
+    int ptype;
+    if (kernel == Py_None)
+        ptype = DRV_PF_NONE;
+    else if (PyObject_TypeCheck(kernel, &BertiKernelType))
+        ptype = DRV_PF_BERTI;
+    else if (PyObject_TypeCheck(kernel, &GazeKernelType))
+        ptype = DRV_PF_GAZE;
+    else if (PyObject_TypeCheck(kernel, &PMPKernelType))
+        ptype = DRV_PF_PMP;
+    else if (PyObject_TypeCheck(kernel, &TriangelKernelType))
+        ptype = DRV_PF_TRIANGEL;
+    else {
+        PyErr_Format(PyExc_TypeError,
+                     "kernel must be None or a train kernel, not %.200s",
+                     Py_TYPE(kernel)->tp_name);
         return -1;
     }
 
@@ -3278,7 +3296,7 @@ Driver_init(DriverKernel *self, PyObject *args, PyObject *kwds)
         goto nomem;
 
     self->ptype = ptype;
-    if (want != NULL) {
+    if (ptype != DRV_PF_NONE) {
         Py_INCREF(kernel);
         self->pf_kernel = kernel;
     }
@@ -3726,7 +3744,19 @@ PyInit__kernels(void)
         Py_DECREF(m);
         return NULL;
     }
-    if (PyModule_AddIntConstant(m, "KERNELS_ABI", 3) < 0) {
+    if (PyModule_AddIntMacro(m, BLOCK_SHIFT) < 0 ||
+        PyModule_AddIntMacro(m, BERTI_PC_MASK) < 0 ||
+        PyModule_AddIntMacro(m, BERTI_ROUNDS_LIMIT) < 0 ||
+        PyModule_AddIntMacro(m, BERTI_MAX_HISTORY) < 0 ||
+        PyModule_AddIntMacro(m, BERTI_MAX_DELTAS) < 0 ||
+        PyModule_AddIntMacro(m, BERTI_THR_ENTRIES) < 0 ||
+        PyModule_AddIntMacro(m, MAX_REGION_BLOCKS) < 0 ||
+        PyModule_AddIntMacro(m, TRIANGEL_MAX_DEGREE) < 0 ||
+        PyModule_AddIntMacro(m, CB_PREFETCHED) < 0 ||
+        PyModule_AddIntMacro(m, CB_USEFUL) < 0 ||
+        PyModule_AddIntMacro(m, CB_FROM_DRAM) < 0 ||
+        PyModule_AddIntMacro(m, CB_DIRTY) < 0 ||
+        PyModule_AddIntMacro(m, CB_COUNTED) < 0) {
         Py_DECREF(m);
         return NULL;
     }

@@ -1,4 +1,4 @@
-"""``repro lint``: repo-specific invariant lint (rules R1-R6).
+"""``repro lint``: repo-specific invariant lint (rules R1, R3-R6).
 
 The rules encode cross-cutting invariants that ordinary linters cannot
 see because they span files, languages and runtime registries:
@@ -9,8 +9,6 @@ rule ID   invariant
 ``R1``    job-key completeness: every field of a frozen, keyed
           dataclass is folded into ``to_dict``/``content_key`` or
           explicitly listed in ``KEY_EXCLUDED``
-``R2``    twin-constant drift: constants mirrored between
-          ``_kernels.c`` and the Python oracles stay equal
 ``R3``    hot-path hygiene: ``__slots__`` in hot modules,
           ``slots=True`` dataclasses, no module-level mutable state
           and no unseeded randomness in ``sim/``
@@ -23,11 +21,14 @@ rule ID   invariant
           or carries an explicit waiver with a reason
 ========  ==========================================================
 
+``R2`` (C/Python twin-constant drift) is retired: each constant shared
+with ``_kernels.c`` is defined once there and exported on the module.
+
 Any diagnostic can be silenced with an inline waiver comment on the
 flagged line or the line directly above it::
 
     _TABLE = {...}  # repro-lint: waive R3
-    /* repro-lint: waive R2 */   (C sources)
+    /* repro-lint: waive R3 */   (C sources)
 
 Use :func:`run_lint` programmatically or ``python -m repro lint`` from
 the command line.

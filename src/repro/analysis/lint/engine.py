@@ -84,14 +84,11 @@ def _load_rules() -> Dict[str, Rule]:
         rule_reasons,
         rule_registry,
         rule_silent,
-        rule_twins,
     )
 
     rules = (
         Rule("R1", "job-key completeness of frozen keyed dataclasses",
              rule_keys.check),
-        Rule("R2", "twin-constant drift between _kernels.c and Python",
-             rule_twins.check),
         Rule("R3", "hot-path hygiene (__slots__, module state, randomness)",
              rule_hygiene.check),
         Rule("R4", "golden-grid coverage of every registered prefetcher",

@@ -1,7 +1,7 @@
 """R5 — every decline path in ``sim/driver.py`` carries a reason.
 
 The compiled driver's contract is *conservative with receipts*: when
-``try_attach``/``_classify`` decline a configuration, the caller records
+``try_attach``/``_decline_reason`` decline a configuration, the caller records
 a human-readable ``kernel_decline_reason`` that surfaces in
 ``stats.extra``, engine rows and bench per-case tiers.  A decline branch
 that returns ``None`` without a reason (or with an empty string) breaks

@@ -134,12 +134,11 @@ def _build_parser() -> argparse.ArgumentParser:
     run.add_argument("--epoch-instructions", type=int, default=0, metavar="E",
                      help="epoch length for --mix-mode epoch "
                           "(0 = auto: budget/8, at least 500)")
-    run.add_argument("--batch", choices=("auto", "on", "off"), default="auto",
+    run.add_argument("--batch", choices=("auto", "off"), default="auto",
                      help="simulation kernel for single-core jobs: batched "
-                          "over array-decoded traces when decodable (auto, "
-                          "default), always decode incl. file traces (on), "
-                          "or the scalar kernel (off); statistics are "
-                          "bit-identical either way")
+                          "over array-decoded traces, file traces in bounded "
+                          "chunks (auto, default), or the scalar kernel "
+                          "(off); statistics are bit-identical either way")
     run.add_argument("--kernel", choices=("auto", "python", "compiled"),
                      default="auto",
                      help="prefetcher tier for single-core jobs: "
@@ -301,12 +300,12 @@ def _build_parser() -> argparse.ArgumentParser:
 
     lint = sub.add_parser(
         "lint",
-        help="run the repo invariant lint (rules R1-R6)",
+        help="run the repo invariant lint (rules R1, R3-R6)",
         description=(
             "Static analysis of repo-specific invariants: job-key "
-            "completeness (R1), C/Python twin-constant drift (R2), "
-            "hot-path hygiene (R3), golden-grid registry coverage (R4), "
-            "compiled-driver decline reasons (R5) and no silent "
+            "completeness (R1), hot-path hygiene (R3), golden-grid "
+            "registry coverage (R4), compiled-driver decline reasons (R5) "
+            "and no silent "
             "exception handlers in experiments/ (R6).  Exits non-zero "
             "when any unwaived diagnostic is found."
         ),

@@ -35,6 +35,12 @@ from repro.sim.types import (
     block_number,
 )
 
+#: PC bits that key the per-PC table.
+BERTI_PC_MASK = 0xFFFF
+
+#: Per-PC ``rounds`` count at which rounds and delta scores halve.
+BERTI_ROUNDS_LIMIT = 64
+
 
 @dataclass(slots=True)
 class _DeltaScore:
@@ -97,7 +103,7 @@ class BertiPrefetcher(Prefetcher):
         self.l2_confidence = l2_confidence
         self.max_prefetches_per_access = max_prefetches_per_access
         self.region_size = region_size
-        self.blocks_per_page = region_size // 64
+        self.blocks_per_page = region_size // BLOCK_SIZE
         self.fetch_latency = fetch_latency
         # Hot-path constant: the +-page window expressed in blocks.
         self._window_blocks = page_window * self.blocks_per_page
@@ -110,7 +116,7 @@ class BertiPrefetcher(Prefetcher):
         self, pc: int, address: int, cycle: int, result: Optional[AccessResult] = None
     ) -> List[PrefetchRequest]:
         block = block_number(address)
-        key = pc & 0xFFFF
+        key = pc & BERTI_PC_MASK
         pc_entries = self._pc_entries
         state = pc_entries.get(key)
         if state is None:
@@ -185,7 +191,7 @@ class BertiPrefetcher(Prefetcher):
             if past_cycle <= timely_threshold:
                 score.timely += 1
         state.rounds += 1
-        if state.rounds % 64 == 0:
+        if state.rounds % BERTI_ROUNDS_LIMIT == 0:
             state.rounds //= 2
             for score in state.deltas.values():
                 score.occurrences = max(1, score.occurrences // 2)

@@ -58,13 +58,15 @@ class CompiledBertiPrefetcher(BertiPrefetcher):
         # each threshold, found with the exact float comparisons the object
         # implementation applies per delta.  Confidence is monotone in the
         # occurrence count, so ``occ >= threshold[rounds]`` is equivalent to
-        # the per-delta division.  ``rounds`` stays below 64 (it is halved
-        # when it reaches 64), and occurrences above ``rounds`` clamp to
-        # confidence 1.0, so scanning 0..rounds is exhaustive.
+        # the per-delta division.  ``rounds`` stays below the table length
+        # (it is halved when it reaches ``BERTI_ROUNDS_LIMIT``), and
+        # occurrences above ``rounds`` clamp to confidence 1.0, so scanning
+        # 0..rounds is exhaustive.
+        entries = _kernels.BERTI_THR_ENTRIES
         unreachable = 1 << 60
-        self._l2_occ_thr = l2_thr = [unreachable] * 64
-        self._l1_occ_thr = l1_thr = [unreachable] * 64
-        for r in range(1, 64):
+        self._l2_occ_thr = l2_thr = [unreachable] * entries
+        self._l1_occ_thr = l1_thr = [unreachable] * entries
+        for r in range(1, entries):
             for occ in range(r + 1):
                 conf = occ / r
                 if conf > 1.0:
@@ -112,9 +114,10 @@ class CompiledBertiPrefetcher(BertiPrefetcher):
 class CompiledGazePrefetcher(GazePrefetcher):
     """Gaze whose train/evict/drain paths run in the C kernel (bit-exact).
 
-    Requires ``blocks_per_region <= 64`` (region footprints are single
-    64-bit masks in C) and a ``region_size`` that is a whole number of
-    blocks; :func:`compiled_twin` enforces both.
+    Requires at most ``_kernels.MAX_REGION_BLOCKS`` blocks per region
+    (region footprints are single 64-bit masks in C) and a
+    ``region_size`` that is a whole number of blocks; the C constructor
+    rejects anything else and :func:`compiled_twin` declines it.
 
     The introspection counters (``pht.lookups``/``hits``/``updates``,
     ``pht_predictions`` … ``promotions``) live on the C side while
@@ -129,11 +132,6 @@ class CompiledGazePrefetcher(GazePrefetcher):
         if _kernels is None:
             raise RuntimeError("repro._kernels extension is not built")
         cfg = self.config
-        if cfg.blocks_per_region > 64 or cfg.region_size % BLOCK_SIZE:
-            raise ValueError(
-                "CompiledGazePrefetcher requires blocks_per_region <= 64 and "
-                f"a region_size that is a multiple of {BLOCK_SIZE}"
-            )
         self._kernel = _kernels.GazeKernel(
             blocks=cfg.blocks_per_region,
             region_size=cfg.region_size,
@@ -196,20 +194,17 @@ class CompiledGazePrefetcher(GazePrefetcher):
 class CompiledPMPPrefetcher(PMPPrefetcher):
     """PMP whose train/merge/predict paths run in the C kernel (bit-exact).
 
-    Requires ``blocks_per_region <= 64`` (region footprints are single
-    64-bit masks in C); :func:`compiled_twin` enforces the limit.  The
-    integer confidence-threshold tables are precomputed by the Python
-    constructor with the exact float comparisons and shipped to C.
+    Requires at most ``_kernels.MAX_REGION_BLOCKS`` blocks per region
+    (region footprints are single 64-bit masks in C); the C constructor
+    rejects more and :func:`compiled_twin` declines it.  The integer
+    confidence-threshold tables are precomputed by the Python constructor
+    with the exact float comparisons and shipped to C.
     """
 
     def __init__(self, **kwargs) -> None:
         super().__init__(**kwargs)
         if _kernels is None:
             raise RuntimeError("repro._kernels extension is not built")
-        if self.blocks > 64:
-            raise ValueError(
-                "CompiledPMPPrefetcher requires blocks_per_region <= 64"
-            )
         self._kernel = _kernels.PMPKernel(
             blocks=self.blocks,
             region_size=self.region_size,
@@ -302,7 +297,8 @@ def compiled_twin(prefetcher):
     Selection is by *exact* type: the Gaze ablations (``GazePHTOnly``,
     ``VirtualGaze``, ``StreamingOnlyGaze``) subclass
     :class:`~repro.core.gaze.GazePrefetcher` with different behaviour and
-    must never be swapped for plain Gaze in C.
+    must never be swapped for plain Gaze in C.  Geometries beyond the
+    kernels' exported caps decline too.
     """
     if _kernels is None:
         return None
@@ -316,13 +312,16 @@ def compiled_twin(prefetcher):
         return prefetcher
     if kind is GazePrefetcher:
         config = prefetcher.config
-        if config.blocks_per_region > 64 or config.region_size % BLOCK_SIZE:
+        if (
+            config.blocks_per_region > _kernels.MAX_REGION_BLOCKS
+            or config.region_size % BLOCK_SIZE
+        ):
             return None
         return CompiledGazePrefetcher(config)
     if kind is BertiPrefetcher:
         if (
-            prefetcher.history_per_pc > 64
-            or prefetcher.max_deltas_per_pc > 64
+            prefetcher.history_per_pc > _kernels.BERTI_MAX_HISTORY
+            or prefetcher.max_deltas_per_pc > _kernels.BERTI_MAX_DELTAS
         ):
             return None
         return CompiledBertiPrefetcher(
@@ -337,7 +336,7 @@ def compiled_twin(prefetcher):
             fetch_latency=prefetcher.fetch_latency,
         )
     if kind is PMPPrefetcher:
-        if prefetcher.blocks > 64:
+        if prefetcher.blocks > _kernels.MAX_REGION_BLOCKS:
             return None
         return CompiledPMPPrefetcher(
             region_size=prefetcher.region_size,
@@ -349,7 +348,7 @@ def compiled_twin(prefetcher):
             anchor_patterns=prefetcher.anchor_patterns,
         )
     if kind is TriangelPrefetcher:
-        if prefetcher.degree > 64:
+        if prefetcher.degree > _kernels.TRIANGEL_MAX_DEGREE:
             return None
         return CompiledTriangelPrefetcher(
             training_entries=prefetcher.training.capacity,

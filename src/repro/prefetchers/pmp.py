@@ -17,6 +17,8 @@ from repro.prefetchers.base import Prefetcher
 from repro.prefetchers.spatial_common import RegionTracker
 from repro.sim.types import (
     AccessResult,
+    BLOCK_SHIFT,
+    BLOCK_SIZE,
     PrefetchHint,
     PrefetchRequest,
 )
@@ -38,7 +40,7 @@ class PMPPrefetcher(Prefetcher):
         anchor_patterns: bool = True,
     ) -> None:
         self.region_size = region_size
-        self.blocks = region_size // 64
+        self.blocks = region_size // BLOCK_SIZE
         self.tracker = RegionTracker(
             region_size=region_size,
             filter_entries=filter_entries,
@@ -191,6 +193,7 @@ class PMPPrefetcher(Prefetcher):
         region_base = region * self.region_size
         l1_hint = PrefetchHint.L1
         l2_hint = PrefetchHint.L2
+        block_shift = BLOCK_SHIFT
         append = requests.append
         for block, count in enumerate(counters):
             if count < l2_min:
@@ -201,7 +204,10 @@ class PMPPrefetcher(Prefetcher):
             hint = l1_hint if count >= l1_min else l2_hint
             append(
                 PrefetchRequest(
-                    region_base + (target_offset << 6), hint, pc, "pmp"
+                    region_base + (target_offset << block_shift),
+                    hint,
+                    pc,
+                    "pmp",
                 )
             )
         return requests

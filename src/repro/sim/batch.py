@@ -33,6 +33,7 @@ transparently.
 
 from __future__ import annotations
 
+from itertools import islice
 from typing import Iterable, Iterator, List, Optional, Sequence
 
 from repro.sim.types import AccessType, MemoryAccess, BLOCK_SHIFT
@@ -141,9 +142,8 @@ class ChunkedTraceStream:
     """Re-openable access source decoded into bounded-size batched chunks.
 
     Bridges streamed traces (e.g. :class:`repro.workloads.formats.TraceFile`)
-    and the batched kernel: instead of materializing the whole trace (the
-    ``batch="on"`` trade) or falling back to the scalar kernel (the old
-    ``batch="auto"`` behaviour for files), the simulator pulls successive
+    and the batched kernel: instead of materializing the whole trace or
+    falling back to the scalar kernel, the simulator pulls successive
     :class:`BatchedTrace` chunks of at most ``chunk_accesses`` accesses —
     the batched kernel's throughput at O(chunk) memory.
 
@@ -174,38 +174,13 @@ class ChunkedTraceStream:
         """
         if self._iterator is None:
             self._iterator = iter(self.source)
-        iterator = self._iterator
-        addresses: List[int] = []
-        pcs: List[int] = []
-        gaps: List[int] = []
-        kinds = bytearray()
-        blocks: List[int] = []
-        total = 0
-        count = 0
-        limit = self.chunk_accesses
-        load = AccessType.LOAD
-        store = AccessType.STORE
-        for access in iterator:
-            address = access.address
-            gap = access.instr_gap
-            access_type = access.access_type
-            addresses.append(address)
-            pcs.append(access.pc)
-            gaps.append(gap)
-            kinds.append(
-                KIND_LOAD
-                if access_type is load
-                else (KIND_STORE if access_type is store else KIND_OTHER)
-            )
-            blocks.append(address >> BLOCK_SHIFT)
-            total += gap + 1
-            count += 1
-            if count >= limit:
-                break
-        if not count:
+        chunk = BatchedTrace.from_accesses(
+            islice(self._iterator, self.chunk_accesses)
+        )
+        if not chunk.addresses:
             self._iterator = None
             return None
-        return BatchedTrace(addresses, pcs, gaps, kinds, blocks, total)
+        return chunk
 
     def __iter__(self) -> Iterator[MemoryAccess]:
         """A fresh scalar pass over the underlying source (for counting)."""

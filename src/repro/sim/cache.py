@@ -46,10 +46,10 @@ class CacheBlock:
 class Cache:
     """A set-associative cache with true-LRU replacement.
 
-    The cache operates on *block numbers* (byte address >> 6), not byte
-    addresses; callers are expected to convert first.  Timing is handled by
-    the hierarchy -- this class only answers presence questions and manages
-    replacement state.
+    The cache operates on *block numbers* (byte address >> BLOCK_SHIFT),
+    not byte addresses; callers are expected to convert first.  Timing is
+    handled by the hierarchy -- this class only answers presence questions
+    and manages replacement state.
 
     Slotted: every simulated access reads several of these attributes, and
     slot descriptors are measurably cheaper than instance-dict lookups.

@@ -22,6 +22,11 @@ state introspection and a second ``run()`` observe exactly what the Python
 driver would have left behind.  ``simulate_trace`` keeps only the
 statistics and never pays for the export.
 
+``DriverKernel`` takes the twin's C train kernel (or ``None``) and picks
+its prefetcher path from that kernel's type.  The cache-block flag bits
+of the state transfer are defined once, in ``_kernels.c``, and read here
+as ``_kernels.CB_*``.
+
 Engagement is strictly opt-in (``kernel="compiled"``) and strictly
 conservative: :meth:`CompiledDriver.try_attach` declines — with a
 human-readable reason recorded as ``kernel_decline_reason`` — whenever the
@@ -54,38 +59,24 @@ try:  # pragma: no cover - exercised only when the extension is built
 except ImportError:  # plain source checkouts: Python driver only
     _kernels = None
 
-#: ``ptype`` codes understood by ``DriverKernel`` (must match _kernels.c).
-PF_NONE = 0
-PF_BERTI = 1
-PF_GAZE = 2
-PF_PMP = 3
-PF_TRIANGEL = 4
-
-#: Cache-block flag bits used by ``load_cache``/``export_cache``.
-_F_PREFETCHED = 1
-_F_USEFUL = 2
-_F_FROM_DRAM = 4
-_F_DIRTY = 8
-_F_COUNTED = 16
-
 
 def driver_available() -> bool:
     """Whether the extension exposes the batched ``DriverKernel``."""
     return _kernels is not None and hasattr(_kernels, "DriverKernel")
 
 
-def _classify(prefetcher) -> Tuple[Optional[int], object, Optional[str]]:
-    """Map ``prefetcher`` to a ``(ptype, train_kernel, decline_reason)``.
+def _decline_reason(prefetcher) -> Optional[str]:
+    """Why the C driver cannot run ``prefetcher``, or ``None`` when it can.
 
-    Only the *compiled twin* classes qualify: they already own the C train
-    kernel the driver calls in-process, and their construction enforced
-    the geometry limits (<= 64-entry masks/FIFOs).  A plain Python
-    prefetcher under ``kernel="compiled"`` means :func:`resolve_kernel`
-    could not produce a twin (unsupported design or geometry), so the
-    driver declines and the Python driver runs it.
+    Only the *compiled twin* classes qualify (besides no prefetcher at
+    all): they already own the C train kernel the driver calls
+    in-process, and their construction enforced the kernels' geometry
+    caps.  A plain Python prefetcher under ``kernel="compiled"`` means
+    :func:`resolve_kernel` could not produce a twin (unsupported design or
+    geometry), so the driver declines and the Python driver runs it.
     """
     if prefetcher is None:
-        return PF_NONE, None, None
+        return None
     from repro.prefetchers.compiled import (
         CompiledBertiPrefetcher,
         CompiledGazePrefetcher,
@@ -93,44 +84,49 @@ def _classify(prefetcher) -> Tuple[Optional[int], object, Optional[str]]:
         CompiledTriangelPrefetcher,
     )
 
-    ptype = {
-        CompiledBertiPrefetcher: PF_BERTI,
-        CompiledGazePrefetcher: PF_GAZE,
-        CompiledPMPPrefetcher: PF_PMP,
-        CompiledTriangelPrefetcher: PF_TRIANGEL,
-    }.get(type(prefetcher))
-    if ptype is None:
-        return None, None, (
-            f"prefetcher {getattr(prefetcher, 'name', type(prefetcher).__name__)!r}"
+    kind = type(prefetcher)
+    if kind not in (
+        CompiledBertiPrefetcher,
+        CompiledGazePrefetcher,
+        CompiledPMPPrefetcher,
+        CompiledTriangelPrefetcher,
+    ):
+        return (
+            f"prefetcher {getattr(prefetcher, 'name', kind.__name__)!r}"
             " has no compiled twin"
         )
-    if ptype in (PF_BERTI, PF_TRIANGEL):
+    if kind in (CompiledBertiPrefetcher, CompiledTriangelPrefetcher):
         # The driver never forwards L1 evictions to these designs; that is
         # only correct while their eviction hook is the base-class no-op.
         from repro.prefetchers.base import Prefetcher
 
-        if type(prefetcher).on_cache_eviction is not Prefetcher.on_cache_eviction:
-            return None, None, "prefetcher overrides on_cache_eviction"
-    return ptype, getattr(prefetcher, "_kernel", None), None
+        if kind.on_cache_eviction is not Prefetcher.on_cache_eviction:
+            return "prefetcher overrides on_cache_eviction"
+    return None
 
 
 def _cache_items(cache: Cache):
     """Flatten a cache into ``(block, flags)`` rows, per-set LRU->MRU."""
+    f_prefetched = _kernels.CB_PREFETCHED
+    f_useful = _kernels.CB_USEFUL
+    f_from_dram = _kernels.CB_FROM_DRAM
+    f_dirty = _kernels.CB_DIRTY
+    f_counted = _kernels.CB_COUNTED
     items = []
     append = items.append
     for cache_set in cache._sets:
         for block, entry in cache_set.items():
             flags = 0
             if entry.prefetched:
-                flags |= _F_PREFETCHED
+                flags |= f_prefetched
             if entry.prefetch_useful:
-                flags |= _F_USEFUL
+                flags |= f_useful
             if entry.from_dram:
-                flags |= _F_FROM_DRAM
+                flags |= f_from_dram
             if entry.dirty:
-                flags |= _F_DIRTY
+                flags |= f_dirty
             if entry.useful_counted:
-                flags |= _F_COUNTED
+                flags |= f_counted
             append((block, flags))
     return items
 
@@ -138,12 +134,11 @@ def _cache_items(cache: Cache):
 class CompiledDriver:
     """One attached ``DriverKernel`` driving one simulator's batched runs."""
 
-    __slots__ = ("_kernel", "_sim", "_ptype")
+    __slots__ = ("_kernel", "_sim")
 
-    def __init__(self, kernel, sim, ptype: int) -> None:
+    def __init__(self, kernel, sim) -> None:
         self._kernel = kernel
         self._sim = sim
-        self._ptype = ptype
 
     # ------------------------------------------------------------------ #
     # Attach
@@ -159,8 +154,8 @@ class CompiledDriver:
         """
         if not driver_available():
             return None, "repro._kernels extension (DriverKernel) not built"
-        ptype, train_kernel, reason = _classify(sim.prefetcher)
-        if ptype is None:
+        reason = _decline_reason(sim.prefetcher)
+        if reason is not None:
             return None, reason
 
         hierarchy = sim.hierarchy
@@ -218,8 +213,8 @@ class CompiledDriver:
             lq=core._load_queue_size,
             miss_limit=core._miss_limit,
             miss_threshold=core._miss_threshold,
-            ptype=ptype,
-            kernel=train_kernel,
+            # The train kernel's type selects the C prefetcher path.
+            kernel=None if sim.prefetcher is None else sim.prefetcher._kernel,
         )
         kernel.load_cache(1, _cache_items(l1d))
         kernel.load_cache(2, _cache_items(l2c))
@@ -241,7 +236,7 @@ class CompiledDriver:
             list(dram._bank_busy_until.items()),
             list(dram._channel_busy_until),
         )
-        return CompiledDriver(kernel, sim, ptype), None
+        return CompiledDriver(kernel, sim), None
 
     # ------------------------------------------------------------------ #
     # Execution
@@ -371,6 +366,11 @@ class CompiledDriver:
         """
         kernel = self._kernel
         hierarchy = self._sim._hierarchy
+        f_prefetched = _kernels.CB_PREFETCHED
+        f_useful = _kernels.CB_USEFUL
+        f_from_dram = _kernels.CB_FROM_DRAM
+        f_dirty = _kernels.CB_DIRTY
+        f_counted = _kernels.CB_COUNTED
 
         for level, cache in ((1, hierarchy.l1d), (2, hierarchy.l2c), (3, hierarchy.llc)):
             sets = cache._sets
@@ -380,12 +380,12 @@ class CompiledDriver:
             for block, flags in kernel.export_cache(level):
                 entry = CacheBlock(
                     block,
-                    bool(flags & _F_PREFETCHED),
-                    bool(flags & _F_USEFUL),
-                    bool(flags & _F_FROM_DRAM),
-                    bool(flags & _F_DIRTY),
+                    bool(flags & f_prefetched),
+                    bool(flags & f_useful),
+                    bool(flags & f_from_dram),
+                    bool(flags & f_dirty),
                 )
-                entry.useful_counted = bool(flags & _F_COUNTED)
+                entry.useful_counted = bool(flags & f_counted)
                 sets[block & mask][block] = entry
 
         dram = hierarchy.dram

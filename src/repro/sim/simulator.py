@@ -46,13 +46,14 @@ from repro.sim.stats import SimulationStats
 from repro.sim.types import (
     AccessResult,
     AccessType,
+    BLOCK_SHIFT,
     MemoryAccess,
     PrefetchHint,
     PrefetchRequest,
 )
 
 #: Accepted values of the ``batch`` execution knob.
-BATCH_MODES = ("auto", "on", "off")
+BATCH_MODES = ("auto", "off")
 
 #: Accepted values of the ``kernel`` execution knob: the prefetcher tier.
 #: ``"auto"``/``"python"`` run the registry's Python object classes;
@@ -298,12 +299,10 @@ class SingleCoreSimulator:
         ``batch`` selects the execution kernel — statistics are
         bit-identical either way:
 
-        * ``"auto"`` (default): the batched kernel for array-decodable
-          sources (pre-decoded traces as-is, materialized sequences decoded
-          here), the scalar kernel for streamed sources (which keep their
-          O(1)-memory property);
-        * ``"on"``: additionally materializes + decodes streamed sources
-          (trading the O(1) memory for the batched kernel's throughput);
+        * ``"auto"`` (default): the batched kernel — pre-decoded traces
+          as-is, materialized sequences decoded here, re-openable streamed
+          sources decoded chunk-wise at O(chunk) memory; one-shot iterators
+          (which cannot replay) take the scalar kernel;
         * ``"off"``: always the scalar kernel.
 
         ``max_instructions`` bounds the measured phase (counting both memory
@@ -339,11 +338,9 @@ class SingleCoreSimulator:
             # The batched kernel requires the mask-based set geometry (every
             # configuration of the paper); odd set counts stay scalar.
             decoded = decode_trace(trace)
-            if decoded is None and batch == "on":
-                decoded = BatchedTrace.from_accesses(iter(trace))
             if decoded is not None:
                 trace = decoded
-            elif batch == "auto" and not hasattr(trace, "__next__"):
+            elif not hasattr(trace, "__next__"):
                 # Re-openable streamed source (e.g. a TraceFile): run the
                 # batched kernel chunk-wise at bounded memory instead of
                 # falling back to the scalar kernel.  One-shot iterators
@@ -1128,6 +1125,7 @@ class SingleCoreSimulator:
             lat_llc_source = hierarchy._lat_llc_source
             hint_l1 = PrefetchHint.L1
             hint_l2 = PrefetchHint.L2
+            block_shift = BLOCK_SHIFT
             # Packed-protocol prefetch path.  With the demand chain inlined
             # (``inline_ok``) and a prefetcher attached, queued prefetches
             # are stored as packed ints — ``block << 1 | to_l1`` — and
@@ -1152,7 +1150,7 @@ class SingleCoreSimulator:
                 for _ in range(len(pending_prefetches)):
                     request, _enq_cycle = pq_popleft()
                     pq_append(
-                        (request.address >> 6) << 1
+                        (request.address >> block_shift) << 1
                         | (1 if request.hint is hint_l1 else 0)
                     )
             while unbounded or executed < instruction_budget:
@@ -1751,7 +1749,8 @@ class SingleCoreSimulator:
                                     total += 1
                                     if len(pending_prefetches) < pq_capacity:
                                         pq_append(
-                                            (request.address >> 6) << 1
+                                            (request.address >> block_shift)
+                                            << 1
                                             | (
                                                 1
                                                 if request.hint is hint_l1
@@ -1779,7 +1778,7 @@ class SingleCoreSimulator:
                     pq_append(
                         (
                             PrefetchRequest(
-                                (p >> 1) << 6,
+                                (p >> 1) << block_shift,
                                 hint_l1 if p & 1 else hint_l2,
                                 0,
                                 "",

@@ -11,11 +11,11 @@ import enum
 from dataclasses import dataclass, field
 from typing import Optional
 
-#: Cache block (line) size in bytes.  The paper uses 64-byte lines throughout.
-BLOCK_SIZE = 64
-
 #: log2 of the block size, used for address arithmetic.
 BLOCK_SHIFT = 6
+
+#: Cache block (line) size in bytes.  The paper uses 64-byte lines throughout.
+BLOCK_SIZE = 1 << BLOCK_SHIFT
 
 #: Default spatial region size in bytes (a 4 KB physical page).
 DEFAULT_REGION_SIZE = 4096

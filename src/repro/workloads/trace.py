@@ -7,7 +7,7 @@ from pathlib import Path
 from typing import Dict, Iterator, List, Optional, Sequence, Union
 
 from repro.hashing import content_hash
-from repro.sim.types import MemoryAccess
+from repro.sim.types import BLOCK_SHIFT, MemoryAccess
 from repro.workloads import formats as trace_formats
 from repro.workloads.formats import (
     TraceFile,
@@ -216,21 +216,6 @@ class TraceSpec:
             return slice_accesses(iter(self.source.open()), 0, length)
         return iter(self._generate(length))
 
-    def batched(self, length: Optional[int] = None):
-        """The trace decoded into parallel arrays for the batched kernel.
-
-        Returns a :class:`repro.sim.batch.BatchedTrace`.  File-backed specs
-        decode in one streaming pass (the arrays hold the whole trace, so
-        this trades the O(1) memory of :meth:`replayable` for the batched
-        kernel's throughput); generator specs decode the generated list.
-        """
-        from repro.sim.batch import BatchedTrace
-
-        length = length if length is not None else self.length
-        if self.source is not None:
-            return BatchedTrace.from_accesses(self.stream(length=length))
-        return BatchedTrace.from_accesses(self._generate(length))
-
     def replayable(self, length: Optional[int] = None):
         """The trace as a replayer-friendly source.
 
@@ -362,8 +347,9 @@ def trace_statistics(
     region_blocks: Dict[int, set] = {}
     instructions = 0
     accesses = 0
+    block_shift = BLOCK_SHIFT
     for access in trace:
-        block = access.address >> 6
+        block = access.address >> block_shift
         region = access.address // region_size
         blocks.add(block)
         pcs.add(access.pc)

@@ -142,7 +142,7 @@ class TestBatchedTraceDecode:
     def test_unknown_batch_mode_rejected(self):
         with pytest.raises(ValueError):
             simulate_trace(_trace(length=10), batch="sometimes")
-        assert set(BATCH_MODES) == {"auto", "on", "off"}
+        assert set(BATCH_MODES) == {"auto", "off"}
 
 
 # --------------------------------------------------------------------------- #
@@ -267,15 +267,16 @@ class TestStreamedMaterializedBatchedEquality:
                                       batch="off")
         streamed = simulate_trace(spec.replayable(), prefetcher=prefetcher(),
                                   batch="off")
-        batched = simulate_trace(spec.batched(), prefetcher=prefetcher())
-        decoded_on = simulate_trace(spec.replayable(),
-                                    prefetcher=prefetcher(), batch="on")
+        batched = simulate_trace(spec.replayable().decode_batched(),
+                                 prefetcher=prefetcher())
+        chunked = simulate_trace(spec.replayable(),
+                                 prefetcher=prefetcher(), batch="auto")
         _assert_identical(materialized, streamed,
                           f"{prefetcher_name}, streamed")
         _assert_identical(materialized, batched,
-                          f"{prefetcher_name}, spec.batched()")
-        _assert_identical(materialized, decoded_on,
-                          f"{prefetcher_name}, batch=on over a stream")
+                          f"{prefetcher_name}, decode_batched()")
+        _assert_identical(materialized, chunked,
+                          f"{prefetcher_name}, batch=auto over a stream")
 
     def test_trace_file_decode_batched(self, trace_file_spec):
         trace, spec = trace_file_spec
@@ -299,7 +300,7 @@ class TestJobBatchKnob:
         keys = {
             SimulationJob(spec=self._spec(), prefetcher="gaze",
                           trace_length=700, batch=batch).key()
-            for batch in ("auto", "on", "off")
+            for batch in ("auto", "off")
         }
         assert len(keys) == 1
         job = SimulationJob(spec=self._spec(), trace_length=700)

@@ -140,7 +140,7 @@ class TestChunkBoundaryEquality:
         # lands inside one for every length here.
         trace = _trace("ring", length=length)
         scalar = simulate_trace(trace, batch="off")
-        batched = simulate_trace(trace, batch="on")
+        batched = simulate_trace(trace, batch="auto")
         _assert_identical(scalar, batched, f"ring, length={length}")
 
     def test_resident_pointer_cycle_with_triangel(self):
@@ -154,7 +154,7 @@ class TestChunkBoundaryEquality:
             trace, prefetcher=create_prefetcher("triangel"), batch="off"
         )
         batched = simulate_trace(
-            trace, prefetcher=create_prefetcher("triangel"), batch="on"
+            trace, prefetcher=create_prefetcher("triangel"), batch="auto"
         )
         _assert_identical(scalar, batched, "temporal-pointer/triangel")
 
@@ -167,7 +167,7 @@ class TestChunkBoundaryEquality:
             trace, batch="off", max_instructions=max_instructions
         )
         batched = simulate_trace(
-            trace, batch="on", max_instructions=max_instructions
+            trace, batch="auto", max_instructions=max_instructions
         )
         _assert_identical(scalar, batched, f"budget={max_instructions}")
         assert scalar.instructions <= max_instructions + 64
@@ -178,7 +178,7 @@ class TestChunkBoundaryEquality:
             trace, batch="off", warmup_instructions=5_003
         )
         batched = simulate_trace(
-            trace, batch="on", warmup_instructions=5_003
+            trace, batch="auto", warmup_instructions=5_003
         )
         _assert_identical(scalar, batched, "warmup=5003")
 
@@ -189,7 +189,7 @@ class TestChunkBoundaryEquality:
             max_instructions=30_011,
         )
         batched = simulate_trace(
-            trace, batch="on", warmup_instructions=5_003,
+            trace, batch="auto", warmup_instructions=5_003,
             max_instructions=30_011,
         )
         _assert_identical(scalar, batched, "warmup+budget")
@@ -210,11 +210,12 @@ class TestChunkBoundaryEquality:
             "streamed scalar",
         )
         _assert_identical(
-            scalar, simulate_trace(spec.batched()), "spec.batched()"
+            scalar, simulate_trace(spec.replayable().decode_batched()),
+            "eagerly decoded file",
         )
         _assert_identical(
-            scalar, simulate_trace(spec.replayable(), batch="on"),
-            "batch=on over a stream",
+            scalar, simulate_trace(spec.replayable(), batch="auto"),
+            "batch=auto over a stream",
         )
 
 
@@ -263,6 +264,6 @@ class TestDemandHitRunEngagement:
         trace = _trace("ring", length=6_000)
         scalar = simulate_trace(trace, batch="off")
         counters = self._spy(monkeypatch)
-        batched = simulate_trace(trace, batch="on")
+        batched = simulate_trace(trace, batch="auto")
         assert counters["calls"] > 0
         _assert_identical(scalar, batched, "instrumented ring run")

@@ -12,6 +12,9 @@ These tests pin:
   registered designs get a twin, that Gaze ablations never do, and the
   graceful fallback when a configuration the C kernels cannot represent
   is requested;
+* the constants shared with ``_kernels.c``: each oracle-owned export
+  equals its Python definition, and every geometry cap is honoured
+  exactly by both :func:`compiled_twin` and the C constructors;
 * chunked streaming (:class:`repro.sim.batch.ChunkedTraceStream`) against
   the scalar streamed path, including replayed instruction budgets and
   warm-up boundaries with deliberately tiny chunk sizes.
@@ -27,10 +30,21 @@ from repro.prefetchers import (
     available_prefetchers,
     create_prefetcher,
 )
-from repro.prefetchers.compiled import compiled_available, compiled_twin
+from repro.prefetchers import berti
+from repro.prefetchers.compiled import (
+    CompiledBertiPrefetcher,
+    CompiledGazePrefetcher,
+    CompiledPMPPrefetcher,
+    CompiledTriangelPrefetcher,
+    compiled_available,
+    compiled_twin,
+)
+from repro.prefetchers.pmp import PMPPrefetcher
+from repro.prefetchers.temporal import TriangelPrefetcher
+from repro.sim import types
 from repro.sim.batch import ChunkedTraceStream
 from repro.sim.simulator import KERNEL_MODES, resolve_kernel, simulate_trace
-from repro.sim.types import AccessResult
+from repro.sim.types import AccessResult, AccessType, MemoryAccess
 from repro.workloads import formats as trace_formats
 from repro.workloads.trace import TraceSpec
 
@@ -241,6 +255,101 @@ class TestCompiledTwin:
 
 
 # --------------------------------------------------------------------------- #
+# Constants shared with _kernels.c
+# --------------------------------------------------------------------------- #
+#: ``(cap export, object class, twin class, kwargs(n))`` per geometry cap.
+CAP_CASES = {
+    "gaze-blocks": (
+        "MAX_REGION_BLOCKS", GazePrefetcher, CompiledGazePrefetcher,
+        lambda n: {"config": GazeConfig(region_size=n * types.BLOCK_SIZE)},
+    ),
+    "pmp-blocks": (
+        "MAX_REGION_BLOCKS", PMPPrefetcher, CompiledPMPPrefetcher,
+        lambda n: {"region_size": n * types.BLOCK_SIZE},
+    ),
+    "vberti-history": (
+        "BERTI_MAX_HISTORY", BertiPrefetcher, CompiledBertiPrefetcher,
+        lambda n: {"history_per_pc": n},
+    ),
+    "vberti-deltas": (
+        "BERTI_MAX_DELTAS", BertiPrefetcher, CompiledBertiPrefetcher,
+        lambda n: {"max_deltas_per_pc": n},
+    ),
+    "triangel-degree": (
+        "TRIANGEL_MAX_DEGREE", TriangelPrefetcher, CompiledTriangelPrefetcher,
+        lambda n: {"degree": n},
+    ),
+}
+
+
+def _aliased_pc_trace(pc_step, length=3_000):
+    """Four interleaved strided streams, one per PC ``0x401a30 + k*pc_step``.
+
+    With ``pc_step = 1 << 16`` the PCs differ only above bit 16, so vBerti
+    keys all four streams to one PC-table entry.
+    """
+    accesses = []
+    for i in range(length):
+        k = i % 4
+        accesses.append(
+            MemoryAccess(
+                pc=0x401A30 + k * pc_step,
+                address=(k << 24) + (i // 4) * (k + 1) * types.BLOCK_SIZE,
+                access_type=AccessType.LOAD,
+                instr_gap=3,
+            )
+        )
+    return accesses
+
+
+@requires_compiled
+class TestSharedConstants:
+    def test_oracle_constants_equal_their_python_definitions(self):
+        from repro import _kernels
+
+        assert _kernels.BLOCK_SHIFT == types.BLOCK_SHIFT
+        assert 1 << _kernels.BLOCK_SHIFT == types.BLOCK_SIZE
+        assert _kernels.BERTI_PC_MASK == berti.BERTI_PC_MASK
+        assert _kernels.BERTI_ROUNDS_LIMIT == berti.BERTI_ROUNDS_LIMIT
+
+    @pytest.mark.parametrize("case", sorted(CAP_CASES))
+    def test_caps_are_exact_for_twin_and_constructor(self, case):
+        from repro import _kernels
+
+        cap_name, object_class, twin_class, kwargs = CAP_CASES[case]
+        cap = getattr(_kernels, cap_name)
+        twin = compiled_twin(object_class(**kwargs(cap)))
+        assert type(twin) is twin_class, f"{case} declined at its cap {cap}"
+        assert compiled_twin(object_class(**kwargs(cap + 1))) is None
+        # Building the twin directly past the cap hits the C constructor.
+        with pytest.raises(ValueError):
+            twin_class(**kwargs(cap + 1))
+
+    def test_vberti_pc_aliasing_is_identical_across_tiers(self):
+        trace = _aliased_pc_trace(pc_step=1 << 16)
+        reference = simulate_trace(
+            trace, prefetcher=create_prefetcher("vberti"),
+            batch="off", kernel="python",
+        )
+        assert reference.prefetch.issued > 0
+        for batch in ("off", "auto"):
+            candidate = simulate_trace(
+                trace, prefetcher=create_prefetcher("vberti"),
+                batch=batch, kernel="compiled",
+            )
+            _assert_identical(reference, candidate, f"aliased PCs, {batch}")
+        # The aliasing is observable: distinct low PC bits train
+        # differently, so a C mask narrower or wider than the oracle's
+        # could not pass the equality above.
+        distinct = simulate_trace(
+            _aliased_pc_trace(pc_step=1 << 4),
+            prefetcher=create_prefetcher("vberti"),
+            batch="off", kernel="python",
+        )
+        assert _stats_dict(distinct) != _stats_dict(reference)
+
+
+# --------------------------------------------------------------------------- #
 # Chunked streaming against the scalar streamed path
 # --------------------------------------------------------------------------- #
 class TestChunkedStreaming:
@@ -315,7 +424,6 @@ class TestChunkedStreaming:
         # materialized batched kernel bit-for-bit (it used to run scalar).
         materialized = simulate_trace(
             list(iter(trace_file)), prefetcher=create_prefetcher("gaze"),
-            batch="on",
         )
         streamed = simulate_trace(
             trace_file, prefetcher=create_prefetcher("gaze"), batch="auto"

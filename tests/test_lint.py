@@ -4,15 +4,12 @@
 Each rule is exercised against a miniature fixture tree (``tmp_path``
 acting as a repo root) that seeds exactly the violation the rule exists
 to catch, so the assertions can pin the full diagnostic down to rule ID,
-path and message fragment.  R2's fixtures are copies of the real anchor
-files with one constant edited — the cheapest way to guarantee every
-anchor resolves while still proving drift detection.
+path and message fragment.
 """
 
 from __future__ import annotations
 
 import json
-import shutil
 import textwrap
 from pathlib import Path
 
@@ -25,28 +22,11 @@ from repro.prefetchers import available_prefetchers
 
 REPO_ROOT = Path(__file__).resolve().parents[1]
 
-#: The real files R2 anchors on; fixture trees copy these wholesale.
-R2_ANCHORS = (
-    "src/repro/_kernels.c",
-    "src/repro/sim/driver.py",
-    "src/repro/prefetchers/berti.py",
-    "src/repro/sim/types.py",
-    "src/repro/prefetchers/compiled.py",
-)
-
-
 def _write(root: Path, rel: str, text: str) -> Path:
     path = root / rel
     path.parent.mkdir(parents=True, exist_ok=True)
     path.write_text(textwrap.dedent(text), encoding="utf-8")
     return path
-
-
-def _copy_anchors(root: Path) -> None:
-    for rel in R2_ANCHORS:
-        target = root / rel
-        target.parent.mkdir(parents=True, exist_ok=True)
-        shutil.copyfile(REPO_ROOT / rel, target)
 
 
 def _full_grid_snapshot() -> dict:
@@ -233,67 +213,6 @@ class TestR1JobKeys:
             """
         )
         assert run_lint(root=tmp_path, rules=["R1"]).ok
-
-
-# --------------------------------------------------------------------------- #
-# R2 — twin-constant drift
-# --------------------------------------------------------------------------- #
-class TestR2TwinConstants:
-    def test_faithful_copy_is_clean(self, tmp_path):
-        _copy_anchors(tmp_path)
-        report = run_lint(root=tmp_path, rules=["R2"])
-        assert report.ok, _messages(report)
-
-    def test_seeded_flag_drift_is_caught(self, tmp_path):
-        _copy_anchors(tmp_path)
-        driver = tmp_path / "src/repro/sim/driver.py"
-        text = driver.read_text(encoding="utf-8")
-        assert "_F_DIRTY = 8" in text
-        driver.write_text(
-            text.replace("_F_DIRTY = 8", "_F_DIRTY = 9"), encoding="utf-8"
-        )
-        report = run_lint(root=tmp_path, rules=["R2"])
-        assert len(report.diagnostics) == 1
-        message = report.diagnostics[0].message
-        assert "twin drift" in message and "_F_DIRTY" in message
-
-    def test_seeded_berti_mask_drift_is_caught(self, tmp_path):
-        _copy_anchors(tmp_path)
-        berti = tmp_path / "src/repro/prefetchers/berti.py"
-        text = berti.read_text(encoding="utf-8")
-        assert "pc & 0xFFFF" in text
-        berti.write_text(
-            text.replace("pc & 0xFFFF", "pc & 0x7FFF"), encoding="utf-8"
-        )
-        report = run_lint(root=tmp_path, rules=["R2"])
-        assert report.diagnostics
-        assert all("Berti PC mask" in d.message for d in report.diagnostics)
-
-    def test_seeded_threshold_table_drift_is_caught(self, tmp_path):
-        _copy_anchors(tmp_path)
-        compiled = tmp_path / "src/repro/prefetchers/compiled.py"
-        text = compiled.read_text(encoding="utf-8")
-        assert text.count("[unreachable] * 64") == 2
-        compiled.write_text(
-            text.replace("[unreachable] * 64", "[unreachable] * 63"),
-            encoding="utf-8",
-        )
-        report = run_lint(root=tmp_path, rules=["R2"])
-        assert len(report.diagnostics) == 2
-        assert all("_occ_thr" in d.message for d in report.diagnostics)
-
-    def test_missing_anchor_is_loud(self, tmp_path):
-        _copy_anchors(tmp_path)
-        (tmp_path / "src/repro/sim/types.py").unlink()
-        report = run_lint(root=tmp_path, rules=["R2"])
-        assert any(
-            "twin anchor file" in d.message and "types.py" in d.message
-            for d in report.diagnostics
-        )
-
-    def test_pure_python_checkout_is_silent(self, tmp_path):
-        # No _kernels.c at all: nothing to mirror, not an error.
-        assert run_lint(root=tmp_path, rules=["R2"]).ok
 
 
 # --------------------------------------------------------------------------- #
