@@ -1967,7 +1967,8 @@ static PyTypeObject TriangelKernelType = {
  * hierarchy, feeds whole BatchedTrace chunks per run() call, ends the
  * run with flush() (the end-of-run prefetch drain, so the PQ and MSHR
  * never leave C) and exports caches and DRAM only when Python reads
- * the hierarchy afterwards.                                           */
+ * the hierarchy afterwards.  run_mix() (at the end of this section)
+ * runs an exact multi-core mix over kernels that share one LLC/DRAM. */
 
 /* Cache-block flag bits of load_cache/export_cache rows (exported). */
 #define CB_PREFETCHED 1u
@@ -1988,8 +1989,14 @@ typedef struct {
     long long *tag;      /* sets * ways block numbers                  */
     unsigned char *flag; /* parallel CB_* flag bytes                   */
     int *size;           /* live entries per set                       */
-    long long hits, misses, evictions, useless;
 } DCache;
+
+/* One kernel's counters for one cache level.  They live apart from the
+ * set arrays because a mix core counts its own LLC traffic in a shared
+ * LLC (see DShared). */
+typedef struct {
+    long long hits, misses, evictions, useless;
+} DCount;
 
 typedef struct {
     long long *tag;
@@ -2004,7 +2011,6 @@ dc_init(DCache *c, int sets, int ways)
     c->sets = sets;
     c->ways = ways;
     c->mask = (long long)sets - 1;
-    c->hits = c->misses = c->evictions = c->useless = 0;
     c->tag = PyMem_Malloc(sizeof(long long) * (size_t)sets * (size_t)ways);
     c->flag = PyMem_Malloc(sizeof(unsigned char) * (size_t)sets * (size_t)ways);
     c->size = PyMem_Malloc(sizeof(int) * (size_t)sets);
@@ -2068,10 +2074,30 @@ dc_contains(DCache *c, long long block)
     return dcrow_find(&r, block) >= 0;
 }
 
+/* What the cores of a multi-core mix share: the LLC sets and the DRAM
+ * bank/row/channel timing.  State only; every counter stays per kernel. */
+typedef struct {
+    DCache llc;
+    /* DRAM (dr_banks = banks per channel)                             */
+    int dr_channels, dr_banks;
+    long long dr_row_div, dr_lat_row_hit, dr_lat_row_miss;
+    double dr_transfer;
+    long long *dr_open_row;   /* per global bank, -1 == closed         */
+    double *dr_bank_busy;     /* per global bank                       */
+    double *dr_channel_busy;  /* per channel                           */
+} DShared;
+
 typedef struct {
     PyObject_HEAD
-    /* hierarchy */
-    DCache l1, l2, llc;
+    /* hierarchy: private L1/L2, the LLC and DRAM through sh, which
+     * points at own (a single-core kernel) or into the mix leader that
+     * `leader` keeps alive (a mix core)                                */
+    DCache l1, l2;
+    DShared own;
+    DShared *sh;
+    PyObject *leader;
+    int borrowers;            /* mix cores borrowing own (owners only) */
+    DCount ct_l1, ct_l2, ct_llc;
     long long lat_l1, lat_l2, lat_llc, lat_l2_source, lat_llc_source;
     /* L1 MSHR: insertion-ordered parallel arrays                      */
     int mshr_cap, mshr_n;
@@ -2082,13 +2108,6 @@ typedef struct {
     /* prefetch queue: ring of packed ints (block << 1 | to_l1)        */
     int pq_cap, pq_head, pq_n, pq_drain;
     long long *pq;
-    /* DRAM (dr_banks = banks per channel)                             */
-    int dr_channels, dr_banks;
-    long long dr_row_div, dr_lat_row_hit, dr_lat_row_miss;
-    double dr_transfer;
-    long long *dr_open_row;   /* per global bank, -1 == closed         */
-    double *dr_bank_busy;     /* per global bank                       */
-    double *dr_channel_busy;  /* per channel                           */
     /* core */
     int width;
     double fetch_inc;
@@ -2135,9 +2154,11 @@ drv_fill(DriverKernel *d, DCache *c, long long block,
     if (r.n >= c->ways) {
         long long vtag = r.tag[0];
         unsigned char vf = r.flg[0];
-        c->evictions++;
+        DCount *ct = level == 1 ? &d->ct_l1
+                     : level == 2 ? &d->ct_l2 : &d->ct_llc;
+        ct->evictions++;
         if ((vf & CB_PREFETCHED) && !(vf & CB_USEFUL)) {
-            c->useless++;
+            ct->useless++;
             if (level < 3)
                 d->st_pf_useless++;
         }
@@ -2164,29 +2185,30 @@ drv_fill(DriverKernel *d, DCache *c, long long block,
 static double
 drv_dram(DriverKernel *d, long long block, long long cyc, int is_prefetch)
 {
-    long long channel = block % d->dr_channels;
+    DShared *s = d->sh;
+    long long channel = block % s->dr_channels;
     long long bank =
-        channel * d->dr_banks + (block / d->dr_channels) % d->dr_banks;
-    long long row = block / d->dr_row_div;
+        channel * s->dr_banks + (block / s->dr_channels) % s->dr_banks;
+    long long row = block / s->dr_row_div;
     long long array_latency;
-    if (d->dr_open_row[bank] == row) {
-        array_latency = d->dr_lat_row_hit;
+    if (s->dr_open_row[bank] == row) {
+        array_latency = s->dr_lat_row_hit;
         d->dr_row_hits++;
     } else {
-        array_latency = d->dr_lat_row_miss;
+        array_latency = s->dr_lat_row_miss;
         d->dr_row_misses++;
-        d->dr_open_row[bank] = row;
+        s->dr_open_row[bank] = row;
     }
-    double bank_wait = d->dr_bank_busy[bank] - (double)cyc;
+    double bank_wait = s->dr_bank_busy[bank] - (double)cyc;
     if (bank_wait < 0.0)
         bank_wait = 0.0;
     double array_done = ((double)cyc + bank_wait) + (double)array_latency;
-    d->dr_bank_busy[bank] = array_done;
-    double bus_start = d->dr_channel_busy[channel];
+    s->dr_bank_busy[bank] = array_done;
+    double bus_start = s->dr_channel_busy[channel];
     if (array_done > bus_start)
         bus_start = array_done;
-    double bus_done = bus_start + d->dr_transfer;
-    d->dr_channel_busy[channel] = bus_done;
+    double bus_done = bus_start + s->dr_transfer;
+    s->dr_channel_busy[channel] = bus_done;
     double bus_wait = bus_start - array_done;
     d->dr_requests++;
     if (is_prefetch)
@@ -2195,7 +2217,7 @@ drv_dram(DriverKernel *d, long long block, long long cyc, int is_prefetch)
         d->dr_demand++;
     d->dr_queue_wait +=
         (long long)(bank_wait + (bus_wait > 0.0 ? bus_wait : 0.0));
-    d->dr_service += (long long)((double)array_latency + d->dr_transfer);
+    d->dr_service += (long long)((double)array_latency + s->dr_transfer);
     return bus_done;
 }
 
@@ -2377,14 +2399,14 @@ static long long
 drv_demand_miss(DriverKernel *d, long long block, long long issue_cycle,
                 int is_store)
 {
-    d->l1.misses++;
+    d->ct_l1.misses++;
     d->st_l1_misses++;
     DCRow r2 = dc_row(&d->l2, block);
     int p2 = dcrow_find(&r2, block);
     if (p2 >= 0) {
         unsigned char f = r2.flg[p2];
         dcrow_touch(&r2, p2);
-        d->l2.hits++;
+        d->ct_l2.hits++;
         if (f & CB_PREFETCHED) {
             if (!(f & CB_USEFUL))
                 f |= CB_USEFUL;
@@ -2402,30 +2424,30 @@ drv_demand_miss(DriverKernel *d, long long block, long long issue_cycle,
         d->st_latency += d->lat_l2;
         return d->lat_l2;
     }
-    d->l2.misses++;
+    d->ct_l2.misses++;
     d->st_l2_misses++;
     long long latency;
     unsigned char from_dram = 0;
-    DCRow r3 = dc_row(&d->llc, block);
+    DCRow r3 = dc_row(&d->sh->llc, block);
     int p3 = dcrow_find(&r3, block);
     if (p3 >= 0) {
         unsigned char f = r3.flg[p3];
         dcrow_touch(&r3, p3);
-        d->llc.hits++;
+        d->ct_llc.hits++;
         if ((f & CB_PREFETCHED) && !(f & CB_USEFUL))
             f |= CB_USEFUL;
         r3.flg[r3.n - 1] = f;
         latency = d->lat_llc;
         d->st_llc_hits++;
     } else {
-        d->llc.misses++;
+        d->ct_llc.misses++;
         d->st_llc_misses++;
         double bus_done = drv_dram(d, block, issue_cycle, 0);
         latency = d->lat_llc
                   + (long long)nearbyint(bus_done - (double)issue_cycle);
         d->st_dram_reads++;
         from_dram = CB_FROM_DRAM;
-        drv_fill(d, &d->llc, block, CB_FROM_DRAM, 3);
+        drv_fill(d, &d->sh->llc, block, CB_FROM_DRAM, 3);
     }
     drv_fill(d, &d->l2, block, from_dram, 2);
     drv_fill(d, &d->l1, block,
@@ -2474,7 +2496,7 @@ drv_issue_prefetch(DriverKernel *d, long long p, long long cycle)
         source_latency = d->lat_l2_source;
         dcrow_touch(&r2, p2);
     } else {
-        DCRow r3 = dc_row(&d->llc, pblock);
+        DCRow r3 = dc_row(&d->sh->llc, pblock);
         int p3 = dcrow_find(&r3, pblock);
         if (p3 >= 0) {
             dcrow_touch(&r3, p3);
@@ -2484,7 +2506,7 @@ drv_issue_prefetch(DriverKernel *d, long long p, long long cycle)
             source_latency = d->lat_llc_source
                              + (long long)nearbyint(bus_done - (double)cycle);
             from_dram = CB_FROM_DRAM;
-            drv_fill(d, &d->llc, pblock, CB_FROM_DRAM, 3);
+            drv_fill(d, &d->sh->llc, pblock, CB_FROM_DRAM, 3);
         }
     }
     if (to_l1) {
@@ -2553,6 +2575,119 @@ drv_train(DriverKernel *d, long long pc, long long address,
     }
 }
 
+/* One access of the per-access loop, trace position i: core issue, the
+ * packed PQ drain, the inlined demand_access, core completion and the
+ * in-process train.  Shared by run() (prefetcher attached) and
+ * run_mix() (every core; a core without a prefetcher trains nothing,
+ * so its PQ and MSHR stay empty). */
+static inline void
+drv_step(DriverKernel *d, Py_ssize_t i)
+{
+    long long gap = d->tr_gap[i];
+    int kind = d->tr_kind[i];
+    long long block = d->tr_block[i];
+    long long lat_l1 = d->lat_l1;
+    drv_begin(d, gap);
+    long long issue_cycle = (long long)d->issue;
+    int is_store = kind == 1;
+
+    /* Packed PQ drain (issue_queued_prefetches). */
+    for (int issued = 0; d->pq_n && issued < d->pq_drain; issued++)
+        drv_issue_prefetch(d, drv_pq_pop(d), issue_cycle);
+
+    /* Inlined demand_access. */
+    d->st_demand++;
+    long long latency;
+    int l1_level = 0;
+    int infl = -1;
+    if (d->mshr_n) {
+        if (issue_cycle >= d->mshr_min_ready)
+            drv_mshr_complete(d, issue_cycle);
+        infl = drv_mshr_find(d, block);
+    }
+    if (infl >= 0) {
+        /* Late prefetch: the block is in flight. */
+        long long remaining = d->mshr_ready[infl] - issue_cycle;
+        latency = remaining > lat_l1 ? remaining : lat_l1;
+        unsigned char fl = CB_PREFETCHED | CB_USEFUL;
+        if (d->mshr_dram[infl])
+            fl |= CB_FROM_DRAM;
+        if (is_store)
+            fl |= CB_DIRTY;
+        /* MSHRFile.remove: no _min_ready recompute, except that emptying
+         * the file resets it to +inf. */
+        memmove(d->mshr_block + infl, d->mshr_block + infl + 1,
+                sizeof(long long) * (size_t)(d->mshr_n - 1 - infl));
+        memmove(d->mshr_ready + infl, d->mshr_ready + infl + 1,
+                sizeof(long long) * (size_t)(d->mshr_n - 1 - infl));
+        memmove(d->mshr_dram + infl, d->mshr_dram + infl + 1,
+                sizeof(unsigned char) * (size_t)(d->mshr_n - 1 - infl));
+        if (--d->mshr_n == 0)
+            d->mshr_min_ready = LLONG_MAX;
+        drv_fill(d, &d->l1, block, fl, 1);
+        d->st_l1_hits++;
+        d->st_pf_useful_l1++;
+        d->st_pf_late++;
+        if (fl & CB_FROM_DRAM)
+            d->st_pf_covered++;
+        d->st_latency += latency;
+        l1_level = 1;
+    } else {
+        DCRow r1 = dc_row(&d->l1, block);
+        int p1 = dcrow_find(&r1, block);
+        if (p1 >= 0) {
+            unsigned char f = r1.flg[p1];
+            dcrow_touch(&r1, p1);
+            d->ct_l1.hits++;
+            if (f & CB_PREFETCHED) {
+                if (!(f & CB_USEFUL))
+                    f |= CB_USEFUL;
+                if (!(f & CB_COUNTED)) {
+                    f |= CB_COUNTED;
+                    d->st_pf_useful_l1++;
+                    if (f & CB_FROM_DRAM)
+                        d->st_pf_covered++;
+                }
+            }
+            if (is_store)
+                f |= CB_DIRTY;
+            r1.flg[r1.n - 1] = f;
+            d->st_l1_hits++;
+            d->st_latency += lat_l1;
+            latency = lat_l1;
+            l1_level = 1;
+        } else {
+            latency = drv_demand_miss(d, block, issue_cycle, is_store);
+        }
+    }
+    drv_complete(d, latency);
+
+    if (kind != 0)
+        return;
+    const long long *buf = NULL;
+    int cnt = drv_train(d, d->tr_pc[i], d->tr_addr[i], issue_cycle, latency,
+                        l1_level, &buf);
+    if (cnt <= 0)
+        return;
+    int accepted = 0;
+    for (int k = 0; k < cnt; k++) {
+        if (d->pq_n < d->pq_cap) {
+            int tail = d->pq_head + d->pq_n;
+            if (tail >= d->pq_cap)
+                tail -= d->pq_cap;
+            d->pq[tail] = buf[k];
+            d->pq_n++;
+            accepted++;
+        }
+    }
+    d->st_pq_enq += accepted;
+    d->st_pf_generated += cnt;
+    if (accepted != cnt) {
+        d->st_pq_drop += cnt - accepted;
+        d->st_pf_drop_q += cnt - accepted;
+    }
+}
+
 /* ------------------------------------------------------------------ */
 /* Whole-driver invariant sweep (debug builds only; see ft_check).     */
 /* ------------------------------------------------------------------ */
@@ -2581,7 +2716,7 @@ drv_check(DriverKernel *d)
 {
     if (dc_check(&d->l1, "L1") < 0 ||
         dc_check(&d->l2, "L2") < 0 ||
-        dc_check(&d->llc, "LLC") < 0)
+        dc_check(&d->sh->llc, "LLC") < 0)
         return -1;
 
     /* MSHR occupancy accounting.  The cached minimum may run stale-LOW:
@@ -2658,14 +2793,14 @@ drv_check(DriverKernel *d)
              "pf generated != enqueued + queue-dropped");
     DK_CHECK(d->st_pq_drop == d->st_pf_drop_q, "stats",
              "queue drop counters disagree");
-    DK_CHECK(d->l1.misses == d->st_l1_misses, "stats",
+    DK_CHECK(d->ct_l1.misses == d->st_l1_misses, "stats",
              "L1 cache/delta miss counters disagree");
-    DK_CHECK(d->l1.hits == d->st_l1_hits - d->st_pf_late, "stats",
+    DK_CHECK(d->ct_l1.hits == d->st_l1_hits - d->st_pf_late, "stats",
              "L1 cache hits != delta hits - late prefetches");
-    DK_CHECK(d->l2.hits == d->st_l2_hits && d->l2.misses == d->st_l2_misses,
+    DK_CHECK(d->ct_l2.hits == d->st_l2_hits && d->ct_l2.misses == d->st_l2_misses,
              "stats", "L2 cache/delta counters disagree");
-    DK_CHECK(d->llc.hits == d->st_llc_hits &&
-             d->llc.misses == d->st_llc_misses,
+    DK_CHECK(d->ct_llc.hits == d->st_llc_hits &&
+             d->ct_llc.misses == d->st_llc_misses,
              "stats", "LLC cache/delta counters disagree");
 
     /* The attached train twin's LRU tables. */
@@ -2835,8 +2970,6 @@ Driver_run(DriverKernel *d, PyObject *const *args, Py_ssize_t nargs)
         PyErr_SetString(PyExc_ValueError, "trace index out of range");
         return NULL;
     }
-    const long long *tr_addr = d->tr_addr;
-    const long long *tr_pc = d->tr_pc;
     const long long *tr_block = d->tr_block;
     const long long *tr_gap = d->tr_gap;
     const unsigned char *tr_kind = d->tr_kind;
@@ -2878,7 +3011,7 @@ Driver_run(DriverKernel *d, PyObject *const *args, Py_ssize_t nargs)
                     run++;
                     i++;
                 }
-                d->l1.hits += run;
+                d->ct_l1.hits += run;
                 if (run) {
                     for (Py_ssize_t ri = index; ri < index + run; ri++) {
                         drv_begin(d, tr_gap[ri]);
@@ -2914,7 +3047,7 @@ Driver_run(DriverKernel *d, PyObject *const *args, Py_ssize_t nargs)
             if (pos >= 0) {
                 unsigned char f = r.flg[pos];
                 dcrow_touch(&r, pos);
-                d->l1.hits++;
+                d->ct_l1.hits++;
                 if (f & CB_PREFETCHED) {
                     if (!(f & CB_USEFUL))
                         f |= CB_USEFUL;
@@ -2939,124 +3072,19 @@ Driver_run(DriverKernel *d, PyObject *const *args, Py_ssize_t nargs)
         }
     } else {
         /* Per-access loop: the prefetcher observes every demand load
-         * in program order (packed PQ drain + inlined demand chain +
-         * in-process train). */
+         * in program order. */
         while (unbounded || executed < budget) {
             if (unbounded && replays > 0)
                 break;
-            long long gap = tr_gap[index];
-            int kind = tr_kind[index];
-            long long address = tr_addr[index];
-            long long block = tr_block[index];
-            long long pc = tr_pc[index];
+            Py_ssize_t i = index;
             index++;
             if (index >= length) {
                 index = 0;
                 replays++;
             }
             yielded = 1;
-            drv_begin(d, gap);
-            long long issue_cycle = (long long)d->issue;
-            executed += gap + 1;
-            int is_store = kind == 1;
-
-            /* Packed PQ drain (issue_queued_prefetches). */
-            for (int issued = 0; d->pq_n && issued < d->pq_drain; issued++)
-                drv_issue_prefetch(d, drv_pq_pop(d), issue_cycle);
-
-            /* Inlined demand_access. */
-            d->st_demand++;
-            long long latency;
-            int l1_level = 0;
-            int infl = -1;
-            if (d->mshr_n) {
-                if (issue_cycle >= d->mshr_min_ready)
-                    drv_mshr_complete(d, issue_cycle);
-                infl = drv_mshr_find(d, block);
-            }
-            if (infl >= 0) {
-                /* Late prefetch: the block is in flight. */
-                long long remaining = d->mshr_ready[infl] - issue_cycle;
-                latency = remaining > lat_l1 ? remaining : lat_l1;
-                unsigned char fl = CB_PREFETCHED | CB_USEFUL;
-                if (d->mshr_dram[infl])
-                    fl |= CB_FROM_DRAM;
-                if (is_store)
-                    fl |= CB_DIRTY;
-                /* MSHRFile.remove: no _min_ready recompute, except that
-                 * emptying the file resets it to +inf. */
-                memmove(d->mshr_block + infl, d->mshr_block + infl + 1,
-                        sizeof(long long) * (size_t)(d->mshr_n - 1 - infl));
-                memmove(d->mshr_ready + infl, d->mshr_ready + infl + 1,
-                        sizeof(long long) * (size_t)(d->mshr_n - 1 - infl));
-                memmove(d->mshr_dram + infl, d->mshr_dram + infl + 1,
-                        sizeof(unsigned char)
-                            * (size_t)(d->mshr_n - 1 - infl));
-                if (--d->mshr_n == 0)
-                    d->mshr_min_ready = LLONG_MAX;
-                drv_fill(d, &d->l1, block, fl, 1);
-                d->st_l1_hits++;
-                d->st_pf_useful_l1++;
-                d->st_pf_late++;
-                if (fl & CB_FROM_DRAM)
-                    d->st_pf_covered++;
-                d->st_latency += latency;
-                l1_level = 1;
-            } else {
-                DCRow r1 = dc_row(&d->l1, block);
-                int p1 = dcrow_find(&r1, block);
-                if (p1 >= 0) {
-                    unsigned char f = r1.flg[p1];
-                    dcrow_touch(&r1, p1);
-                    d->l1.hits++;
-                    if (f & CB_PREFETCHED) {
-                        if (!(f & CB_USEFUL))
-                            f |= CB_USEFUL;
-                        if (!(f & CB_COUNTED)) {
-                            f |= CB_COUNTED;
-                            d->st_pf_useful_l1++;
-                            if (f & CB_FROM_DRAM)
-                                d->st_pf_covered++;
-                        }
-                    }
-                    if (is_store)
-                        f |= CB_DIRTY;
-                    r1.flg[r1.n - 1] = f;
-                    d->st_l1_hits++;
-                    d->st_latency += lat_l1;
-                    latency = lat_l1;
-                    l1_level = 1;
-                } else {
-                    latency =
-                        drv_demand_miss(d, block, issue_cycle, is_store);
-                }
-            }
-            drv_complete(d, latency);
-
-            if (kind == 0) {
-                const long long *buf = NULL;
-                int cnt = drv_train(d, pc, address, issue_cycle, latency,
-                                    l1_level, &buf);
-                if (cnt > 0) {
-                    int accepted = 0;
-                    for (int i = 0; i < cnt; i++) {
-                        if (d->pq_n < d->pq_cap) {
-                            int tail = d->pq_head + d->pq_n;
-                            if (tail >= d->pq_cap)
-                                tail -= d->pq_cap;
-                            d->pq[tail] = buf[i];
-                            d->pq_n++;
-                            accepted++;
-                        }
-                    }
-                    d->st_pq_enq += accepted;
-                    d->st_pf_generated += cnt;
-                    if (accepted != cnt) {
-                        d->st_pq_drop += cnt - accepted;
-                        d->st_pf_drop_q += cnt - accepted;
-                    }
-                }
-            }
+            executed += tr_gap[i] + 1;
+            drv_step(d, i);
         }
     }
     DRV_CHECK(d);
@@ -3099,9 +3127,9 @@ drv_zero_stats(DriverKernel *d)
     d->st_pf_useful_l1 = d->st_pf_useful_l2 = d->st_pf_useless = 0;
     d->st_pf_late = d->st_pf_covered = 0;
     d->st_pq_enq = d->st_pq_drop = 0;
-    d->l1.hits = d->l1.misses = d->l1.evictions = d->l1.useless = 0;
-    d->l2.hits = d->l2.misses = d->l2.evictions = d->l2.useless = 0;
-    d->llc.hits = d->llc.misses = d->llc.evictions = d->llc.useless = 0;
+    memset(&d->ct_l1, 0, sizeof d->ct_l1);
+    memset(&d->ct_l2, 0, sizeof d->ct_l2);
+    memset(&d->ct_llc, 0, sizeof d->ct_llc);
     d->dr_requests = d->dr_demand = d->dr_prefetch = 0;
     d->dr_row_hits = d->dr_row_misses = d->dr_queue_wait = d->dr_service = 0;
 }
@@ -3111,14 +3139,14 @@ drv_free_buffers(DriverKernel *d)
 {
     dc_free(&d->l1);
     dc_free(&d->l2);
-    dc_free(&d->llc);
+    dc_free(&d->own.llc);
     PyMem_Free(d->mshr_block);
     PyMem_Free(d->mshr_ready);
     PyMem_Free(d->mshr_dram);
     PyMem_Free(d->pq);
-    PyMem_Free(d->dr_open_row);
-    PyMem_Free(d->dr_bank_busy);
-    PyMem_Free(d->dr_channel_busy);
+    PyMem_Free(d->own.dr_open_row);
+    PyMem_Free(d->own.dr_bank_busy);
+    PyMem_Free(d->own.dr_channel_busy);
     PyMem_Free(d->out_pos);
     PyMem_Free(d->out_comp);
     PyMem_Free(d->missv);
@@ -3130,8 +3158,8 @@ drv_free_buffers(DriverKernel *d)
     d->mshr_block = d->mshr_ready = NULL;
     d->mshr_dram = NULL;
     d->pq = NULL;
-    d->dr_open_row = NULL;
-    d->dr_bank_busy = d->dr_channel_busy = NULL;
+    d->own.dr_open_row = NULL;
+    d->own.dr_bank_busy = d->own.dr_channel_busy = NULL;
     d->out_pos = NULL;
     d->out_comp = NULL;
     d->missv = NULL;
@@ -3141,10 +3169,23 @@ drv_free_buffers(DriverKernel *d)
     d->tr_len = -1;
 }
 
+/* Drop a mix core's reference to the kernel owning its LLC and DRAM;
+ * sh is left NULL until the next init points it somewhere valid. */
+static void
+drv_release_leader(DriverKernel *d)
+{
+    if (d->leader) {
+        ((DriverKernel *)d->leader)->borrowers--;
+        Py_CLEAR(d->leader);
+    }
+    d->sh = NULL;
+}
+
 static void
 Driver_dealloc(DriverKernel *d)
 {
     drv_free_buffers(d);
+    drv_release_leader(d);
     Py_XDECREF(d->pf_kernel);
     Py_XDECREF(d->tr_key_addr);
     Py_XDECREF(d->tr_key_block);
@@ -3157,6 +3198,8 @@ drv_pow2(int v)
     return v > 0 && (v & (v - 1)) == 0;
 }
 
+static PyTypeObject DriverKernelType;
+
 static int
 Driver_init(DriverKernel *self, PyObject *args, PyObject *kwds)
 {
@@ -3167,7 +3210,7 @@ Driver_init(DriverKernel *self, PyObject *args, PyObject *kwds)
         "dram_channels", "dram_banks", "dram_row_div", "dram_row_hit",
         "dram_row_miss", "dram_transfer",
         "width", "fetch_increment", "rob", "lq", "miss_limit",
-        "miss_threshold", "kernel", NULL,
+        "miss_threshold", "kernel", "shared", NULL,
     };
     int l1_sets, l1_ways, l2_sets, l2_ways, llc_sets, llc_ways;
     long long lat_l1, lat_l2, lat_llc, lat_l2_source, lat_llc_source;
@@ -3181,15 +3224,16 @@ Driver_init(DriverKernel *self, PyObject *args, PyObject *kwds)
     int miss_limit;
     long long miss_threshold;
     PyObject *kernel;
+    PyObject *shared = Py_None;
     if (!PyArg_ParseTupleAndKeywords(
-            args, kwds, "iiiiiiLLLLLiiiiiLLLdidLLiLO", kwlist,
+            args, kwds, "iiiiiiLLLLLiiiiiLLLdidLLiLO|O", kwlist,
             &l1_sets, &l1_ways, &l2_sets, &l2_ways, &llc_sets, &llc_ways,
             &lat_l1, &lat_l2, &lat_llc, &lat_l2_source, &lat_llc_source,
             &mshr_capacity, &pq_capacity, &pq_drain,
             &dram_channels, &dram_banks, &dram_row_div, &dram_row_hit,
             &dram_row_miss, &dram_transfer,
             &width, &fetch_increment, &rob, &lq, &miss_limit,
-            &miss_threshold, &kernel))
+            &miss_threshold, &kernel, &shared))
         return -1;
     if (!drv_pow2(l1_sets) || !drv_pow2(l2_sets) || !drv_pow2(llc_sets)
         || l1_ways < 1 || l2_ways < 1 || llc_ways < 1) {
@@ -3222,16 +3266,82 @@ Driver_init(DriverKernel *self, PyObject *args, PyObject *kwds)
                      Py_TYPE(kernel)->tp_name);
         return -1;
     }
+    /* shared: a kernel whose LLC and DRAM this one borrows (a mix core).
+     * It must model the same LLC and DRAM; the reference taken is to
+     * the owner, so borrowing from a borrower shares the same state. */
+    DriverKernel *root = NULL;
+    if (shared != Py_None) {
+        if (!PyObject_TypeCheck(shared, &DriverKernelType)) {
+            PyErr_Format(PyExc_TypeError,
+                         "shared must be None or a DriverKernel, not %.200s",
+                         Py_TYPE(shared)->tp_name);
+            return -1;
+        }
+        root = (DriverKernel *)shared;
+        if (root->leader)
+            root = (DriverKernel *)root->leader;
+        if (root == self || !root->sh) {
+            PyErr_SetString(PyExc_ValueError,
+                            "shared must be another initialised kernel");
+            return -1;
+        }
+        DShared *o = &root->own;
+        if (o->llc.sets != llc_sets || o->llc.ways != llc_ways
+            || o->dr_channels != dram_channels || o->dr_banks != dram_banks
+            || o->dr_row_div != dram_row_div
+            || o->dr_lat_row_hit != dram_row_hit
+            || o->dr_lat_row_miss != dram_row_miss
+            || o->dr_transfer != dram_transfer) {
+            PyErr_SetString(PyExc_ValueError,
+                            "shared kernel models a different LLC or DRAM");
+            return -1;
+        }
+    }
+    if (self->borrowers) {
+        PyErr_SetString(PyExc_RuntimeError,
+                        "cannot re-initialise a kernel other kernels share");
+        return -1;
+    }
 
     drv_free_buffers(self);
+    drv_release_leader(self);
     Py_CLEAR(self->pf_kernel);
     Py_CLEAR(self->tr_key_addr);
     Py_CLEAR(self->tr_key_block);
 
     if (dc_init(&self->l1, l1_sets, l1_ways) < 0
-        || dc_init(&self->l2, l2_sets, l2_ways) < 0
-        || dc_init(&self->llc, llc_sets, llc_ways) < 0)
+        || dc_init(&self->l2, l2_sets, l2_ways) < 0)
         goto nomem;
+    if (root) {
+        Py_INCREF(root);
+        self->leader = (PyObject *)root;
+        root->borrowers++;
+        self->sh = &root->own;
+    } else {
+        DShared *o = &self->own;
+        self->sh = o;
+        if (dc_init(&o->llc, llc_sets, llc_ways) < 0)
+            goto nomem;
+        o->dr_channels = dram_channels;
+        o->dr_banks = dram_banks;
+        o->dr_row_div = dram_row_div;
+        o->dr_lat_row_hit = dram_row_hit;
+        o->dr_lat_row_miss = dram_row_miss;
+        o->dr_transfer = dram_transfer;
+        size_t total_banks = (size_t)dram_channels * (size_t)dram_banks;
+        o->dr_open_row = PyMem_Malloc(sizeof(long long) * total_banks);
+        o->dr_bank_busy = PyMem_Malloc(sizeof(double) * total_banks);
+        o->dr_channel_busy =
+            PyMem_Malloc(sizeof(double) * (size_t)dram_channels);
+        if (!o->dr_open_row || !o->dr_bank_busy || !o->dr_channel_busy)
+            goto nomem;
+        for (size_t b = 0; b < total_banks; b++) {
+            o->dr_open_row[b] = -1;
+            o->dr_bank_busy[b] = 0.0;
+        }
+        for (int c = 0; c < dram_channels; c++)
+            o->dr_channel_busy[c] = 0.0;
+    }
     self->lat_l1 = lat_l1;
     self->lat_l2 = lat_l2;
     self->lat_llc = lat_llc;
@@ -3255,26 +3365,6 @@ Driver_init(DriverKernel *self, PyObject *args, PyObject *kwds)
     self->pq = PyMem_Malloc(sizeof(long long) * (size_t)pq_capacity);
     if (!self->pq)
         goto nomem;
-
-    self->dr_channels = dram_channels;
-    self->dr_banks = dram_banks;
-    self->dr_row_div = dram_row_div;
-    self->dr_lat_row_hit = dram_row_hit;
-    self->dr_lat_row_miss = dram_row_miss;
-    self->dr_transfer = dram_transfer;
-    size_t total_banks = (size_t)dram_channels * (size_t)dram_banks;
-    self->dr_open_row = PyMem_Malloc(sizeof(long long) * total_banks);
-    self->dr_bank_busy = PyMem_Malloc(sizeof(double) * total_banks);
-    self->dr_channel_busy =
-        PyMem_Malloc(sizeof(double) * (size_t)dram_channels);
-    if (!self->dr_open_row || !self->dr_bank_busy || !self->dr_channel_busy)
-        goto nomem;
-    for (size_t b = 0; b < total_banks; b++) {
-        self->dr_open_row[b] = -1;
-        self->dr_bank_busy[b] = 0.0;
-    }
-    for (int c = 0; c < dram_channels; c++)
-        self->dr_channel_busy[c] = 0.0;
 
     self->width = width;
     self->fetch_inc = fetch_increment;
@@ -3305,6 +3395,7 @@ Driver_init(DriverKernel *self, PyObject *args, PyObject *kwds)
 
 nomem:
     drv_free_buffers(self);
+    drv_release_leader(self);
     if (!PyErr_Occurred())
         PyErr_NoMemory();
     return -1;
@@ -3319,7 +3410,7 @@ drv_level(DriverKernel *d, int level)
     case 2:
         return &d->l2;
     case 3:
-        return &d->llc;
+        return &d->sh->llc;
     }
     PyErr_SetString(PyExc_ValueError, "level must be 1, 2 or 3");
     return NULL;
@@ -3520,10 +3611,11 @@ Driver_load_dram(DriverKernel *d, PyObject *args)
     if (!PyArg_ParseTuple(args, "OOO", &open_list, &busy_list,
                           &channel_list))
         return NULL;
-    long long total_banks = (long long)d->dr_channels * d->dr_banks;
+    DShared *s = d->sh;
+    long long total_banks = (long long)s->dr_channels * s->dr_banks;
     for (long long b = 0; b < total_banks; b++) {
-        d->dr_open_row[b] = -1;
-        d->dr_bank_busy[b] = 0.0;
+        s->dr_open_row[b] = -1;
+        s->dr_bank_busy[b] = 0.0;
     }
     PyObject *oseq = PySequence_Fast(open_list, "open rows must be a sequence");
     if (!oseq)
@@ -3538,7 +3630,7 @@ Driver_load_dram(DriverKernel *d, PyObject *args)
                 PyErr_SetString(PyExc_ValueError, "bank out of range");
             return NULL;
         }
-        d->dr_open_row[bank] = row;
+        s->dr_open_row[bank] = row;
     }
     Py_DECREF(oseq);
     PyObject *bseq = PySequence_Fast(busy_list, "bank busy must be a sequence");
@@ -3554,25 +3646,25 @@ Driver_load_dram(DriverKernel *d, PyObject *args)
                 PyErr_SetString(PyExc_ValueError, "bank out of range");
             return NULL;
         }
-        d->dr_bank_busy[bank] = busy;
+        s->dr_bank_busy[bank] = busy;
     }
     Py_DECREF(bseq);
     PyObject *cseq =
         PySequence_Fast(channel_list, "channel busy must be a sequence");
     if (!cseq)
         return NULL;
-    if (PySequence_Fast_GET_SIZE(cseq) != d->dr_channels) {
+    if (PySequence_Fast_GET_SIZE(cseq) != s->dr_channels) {
         Py_DECREF(cseq);
         PyErr_SetString(PyExc_ValueError, "channel busy length mismatch");
         return NULL;
     }
-    for (Py_ssize_t i = 0; i < d->dr_channels; i++) {
+    for (Py_ssize_t i = 0; i < s->dr_channels; i++) {
         double busy = PyFloat_AsDouble(PySequence_Fast_GET_ITEM(cseq, i));
         if (PyErr_Occurred()) {
             Py_DECREF(cseq);
             return NULL;
         }
-        d->dr_channel_busy[i] = busy;
+        s->dr_channel_busy[i] = busy;
     }
     Py_DECREF(cseq);
     DRV_CHECK(d);
@@ -3582,23 +3674,24 @@ Driver_load_dram(DriverKernel *d, PyObject *args)
 static PyObject *
 Driver_export_dram(DriverKernel *d, PyObject *Py_UNUSED(ignored))
 {
-    long long total_banks = (long long)d->dr_channels * d->dr_banks;
+    DShared *s = d->sh;
+    long long total_banks = (long long)s->dr_channels * s->dr_banks;
     PyObject *open_list = PyList_New(0);
     PyObject *busy_list = PyList_New(0);
-    PyObject *chan_list = PyList_New(d->dr_channels);
+    PyObject *chan_list = PyList_New(s->dr_channels);
     if (!open_list || !busy_list || !chan_list)
         goto fail;
     for (long long b = 0; b < total_banks; b++) {
-        if (d->dr_open_row[b] != -1) {
-            PyObject *it = Py_BuildValue("(LL)", b, d->dr_open_row[b]);
+        if (s->dr_open_row[b] != -1) {
+            PyObject *it = Py_BuildValue("(LL)", b, s->dr_open_row[b]);
             if (!it || PyList_Append(open_list, it) < 0) {
                 Py_XDECREF(it);
                 goto fail;
             }
             Py_DECREF(it);
         }
-        if (d->dr_bank_busy[b] != 0.0) {
-            PyObject *it = Py_BuildValue("(Ld)", b, d->dr_bank_busy[b]);
+        if (s->dr_bank_busy[b] != 0.0) {
+            PyObject *it = Py_BuildValue("(Ld)", b, s->dr_bank_busy[b]);
             if (!it || PyList_Append(busy_list, it) < 0) {
                 Py_XDECREF(it);
                 goto fail;
@@ -3606,8 +3699,8 @@ Driver_export_dram(DriverKernel *d, PyObject *Py_UNUSED(ignored))
             Py_DECREF(it);
         }
     }
-    for (int c = 0; c < d->dr_channels; c++) {
-        PyObject *v = PyFloat_FromDouble(d->dr_channel_busy[c]);
+    for (int c = 0; c < s->dr_channels; c++) {
+        PyObject *v = PyFloat_FromDouble(s->dr_channel_busy[c]);
         if (!v)
             goto fail;
         PyList_SET_ITEM(chan_list, c, v);
@@ -3620,11 +3713,14 @@ fail:
     return NULL;
 }
 
-static PyObject *
-Driver_drain_stats(DriverKernel *d, PyObject *Py_UNUSED(ignored))
+/* Length of the drain_stats vector: SimulationStats deltas (0-20), the
+ * PQ counters (21-22), L1/L2/LLC counters (23-34) and DRAM (35-41). */
+#define DRV_NSTATS 42
+
+static void
+drv_stat_vector(const DriverKernel *d, long long v[DRV_NSTATS])
 {
-    DRV_CHECK(d);
-    long long vals[42] = {
+    const long long vals[DRV_NSTATS] = {
         d->st_demand, d->st_l1_hits, d->st_l1_misses, d->st_l2_hits,
         d->st_l2_misses, d->st_llc_hits, d->st_llc_misses, d->st_dram_reads,
         d->st_latency,
@@ -3633,24 +3729,42 @@ Driver_drain_stats(DriverKernel *d, PyObject *Py_UNUSED(ignored))
         d->st_pf_fill_l2, d->st_pf_useful_l1, d->st_pf_useful_l2,
         d->st_pf_useless, d->st_pf_late, d->st_pf_covered,
         d->st_pq_enq, d->st_pq_drop,
-        d->l1.hits, d->l1.misses, d->l1.evictions, d->l1.useless,
-        d->l2.hits, d->l2.misses, d->l2.evictions, d->l2.useless,
-        d->llc.hits, d->llc.misses, d->llc.evictions, d->llc.useless,
+        d->ct_l1.hits, d->ct_l1.misses, d->ct_l1.evictions, d->ct_l1.useless,
+        d->ct_l2.hits, d->ct_l2.misses, d->ct_l2.evictions, d->ct_l2.useless,
+        d->ct_llc.hits, d->ct_llc.misses, d->ct_llc.evictions,
+        d->ct_llc.useless,
         d->dr_requests, d->dr_demand, d->dr_prefetch, d->dr_row_hits,
         d->dr_row_misses, d->dr_queue_wait, d->dr_service,
     };
-    PyObject *t = PyTuple_New(42);
+    memcpy(v, vals, sizeof vals);
+}
+
+static PyObject *
+drv_stat_tuple(const long long v[DRV_NSTATS])
+{
+    PyObject *t = PyTuple_New(DRV_NSTATS);
     if (!t)
         return NULL;
-    for (int i = 0; i < 42; i++) {
-        PyObject *v = PyLong_FromLongLong(vals[i]);
-        if (!v) {
+    for (int i = 0; i < DRV_NSTATS; i++) {
+        PyObject *o = PyLong_FromLongLong(v[i]);
+        if (!o) {
             Py_DECREF(t);
             return NULL;
         }
-        PyTuple_SET_ITEM(t, i, v);
+        PyTuple_SET_ITEM(t, i, o);
     }
-    drv_zero_stats(d);
+    return t;
+}
+
+static PyObject *
+Driver_drain_stats(DriverKernel *d, PyObject *Py_UNUSED(ignored))
+{
+    DRV_CHECK(d);
+    long long v[DRV_NSTATS];
+    drv_stat_vector(d, v);
+    PyObject *t = drv_stat_tuple(v);
+    if (t)
+        drv_zero_stats(d);
     return t;
 }
 
@@ -3691,11 +3805,171 @@ static PyTypeObject DriverKernelType = {
 };
 
 /* ================================================================== */
+/* run_mix — MultiCoreSimulator._run_exact in C: the exact round-robin
+ * interleave of N DriverKernels that share one LLC and one DRAM (every
+ * core borrows the first kernel's), driven by drv_step, the per-access
+ * step of Driver_run.  Each core replays its trace (wrapping at the
+ * end) from position 0 with fresh counters.  "Any core measuring?" is
+ * checked once per round and every core steps every round.  A core
+ * whose executed instructions reach the budget freezes its stat vector
+ * and its progress totals (CoreTimingModel.progress_totals) at that
+ * access; it keeps stepping, but later deltas never reach its measured
+ * statistics, exactly like the Python driver's sink swap.             */
+
+/* CoreTimingModel.progress_totals' cycle count. */
+static long long
+drv_progress_cycles(const DriverKernel *d)
+{
+    double final_cycle = d->fetch > d->last_retire ? d->fetch : d->last_retire;
+    for (int k = 0; k < d->out_n; k++) {
+        int idx = d->out_head + k;
+        if (idx >= d->out_cap)
+            idx -= d->out_cap;
+        if (d->out_comp[idx] > final_cycle)
+            final_cycle = d->out_comp[idx];
+    }
+    long long cycles = (long long)nearbyint(final_cycle);
+    return cycles > 1 ? cycles : 1;
+}
+
+typedef struct {
+    DriverKernel *d;
+    Py_ssize_t index;
+    long long executed;
+    int measuring;
+    long long instructions, cycles;
+    long long stats[DRV_NSTATS];
+} MixCore;
+
+static PyObject *
+kernels_run_mix(PyObject *Py_UNUSED(module), PyObject *args)
+{
+    PyObject *kernels_in, *traces_in;
+    long long budget;
+    if (!PyArg_ParseTuple(args, "OOL:run_mix", &kernels_in, &traces_in,
+                          &budget))
+        return NULL;
+    if (budget <= 0) {
+        PyErr_SetString(PyExc_ValueError, "budget must be positive");
+        return NULL;
+    }
+    PyObject *kseq = PySequence_Fast(kernels_in, "kernels must be a sequence");
+    if (!kseq)
+        return NULL;
+    PyObject *tseq = PySequence_Fast(traces_in, "traces must be a sequence");
+    if (!tseq) {
+        Py_DECREF(kseq);
+        return NULL;
+    }
+    PyObject *result = NULL;
+    Py_ssize_t n = PySequence_Fast_GET_SIZE(kseq);
+    MixCore *cores = NULL;
+    if (n < 1 || PySequence_Fast_GET_SIZE(tseq) != n) {
+        PyErr_SetString(PyExc_ValueError,
+                        "run_mix needs one trace per kernel, at least one");
+        goto done;
+    }
+    cores = PyMem_Calloc((size_t)n, sizeof(MixCore));
+    if (!cores) {
+        PyErr_NoMemory();
+        goto done;
+    }
+    for (Py_ssize_t c = 0; c < n; c++) {
+        PyObject *k = PySequence_Fast_GET_ITEM(kseq, c);
+        if (!PyObject_TypeCheck(k, &DriverKernelType)) {
+            PyErr_SetString(PyExc_TypeError, "kernels must be DriverKernels");
+            goto done;
+        }
+        DriverKernel *d = cores[c].d = (DriverKernel *)k;
+        if (!d->sh || d->sh != cores[0].d->sh) {
+            PyErr_SetString(PyExc_ValueError,
+                            "mix kernels must share the first one's LLC "
+                            "and DRAM");
+            goto done;
+        }
+        for (Py_ssize_t j = 0; j < c; j++)
+            if (cores[j].d == d) {
+                PyErr_SetString(PyExc_ValueError,
+                                "a kernel appears twice in the mix");
+                goto done;
+            }
+        PyObject *t = PySequence_Fast_GET_ITEM(tseq, c);
+        if (!PyTuple_Check(t) || PyTuple_GET_SIZE(t) != 5) {
+            PyErr_SetString(PyExc_TypeError,
+                            "each trace must be an (addresses, pcs, blocks, "
+                            "gaps, kinds) tuple");
+            goto done;
+        }
+        if (drv_load_trace(d, PyTuple_GET_ITEM(t, 0), PyTuple_GET_ITEM(t, 1),
+                           PyTuple_GET_ITEM(t, 2), PyTuple_GET_ITEM(t, 3),
+                           PyTuple_GET_ITEM(t, 4)) < 0)
+            goto done;
+        if (d->tr_len <= 0) {
+            PyErr_SetString(PyExc_ValueError, "cannot simulate an empty trace");
+            goto done;
+        }
+        cores[c].measuring = 1;
+    }
+
+    Py_ssize_t measuring = n;
+    while (measuring) {
+        for (Py_ssize_t c = 0; c < n; c++) {
+            MixCore *m = &cores[c];
+            DriverKernel *d = m->d;
+            Py_ssize_t i = m->index;
+            m->index = i + 1 < d->tr_len ? i + 1 : 0;
+            m->executed += d->tr_gap[i] + 1;
+            drv_step(d, i);
+            if (m->measuring && m->executed >= budget) {
+                m->measuring = 0;
+                measuring--;
+                m->instructions = d->instr;
+                m->cycles = drv_progress_cycles(d);
+                drv_stat_vector(d, m->stats);
+            }
+        }
+    }
+#ifdef REPRO_DEBUG_KERNELS
+    for (Py_ssize_t c = 0; c < n; c++)
+        if (drv_check(cores[c].d) < 0)
+            goto done;
+#endif
+
+    result = PyList_New(n);
+    if (!result)
+        goto done;
+    for (Py_ssize_t c = 0; c < n; c++) {
+        PyObject *row = Py_BuildValue("(LLN)", cores[c].instructions,
+                                      cores[c].cycles,
+                                      drv_stat_tuple(cores[c].stats));
+        if (!row) {
+            Py_CLEAR(result);
+            goto done;
+        }
+        PyList_SET_ITEM(result, c, row);
+    }
+done:
+    PyMem_Free(cores);
+    Py_DECREF(kseq);
+    Py_DECREF(tseq);
+    return result;
+}
+
+static PyMethodDef kernels_functions[] = {
+    {"run_mix", (PyCFunction)kernels_run_mix, METH_VARARGS,
+     "run_mix(kernels, traces, budget) -> [(instructions, cycles, stats)]\n"
+     "The exact round-robin mix of kernels sharing the first one's LLC and\n"
+     "DRAM; traces holds one (addresses, pcs, blocks, gaps, kinds) tuple per\n"
+     "kernel, stats is each core's drain_stats vector frozen at budget."},
+    {NULL, NULL, 0, NULL},
+};
+
 static PyModuleDef kernels_module = {
     PyModuleDef_HEAD_INIT,
     .m_name = "repro._kernels",
     .m_doc = "Compiled twins of the prefetcher train loops.",
     .m_size = -1,
+    .m_methods = kernels_functions,
 };
 
 PyMODINIT_FUNC

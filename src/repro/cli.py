@@ -141,10 +141,11 @@ def _build_parser() -> argparse.ArgumentParser:
                           "(off); statistics are bit-identical either way")
     run.add_argument("--kernel", choices=("auto", "python", "compiled"),
                      default="auto",
-                     help="prefetcher tier for single-core jobs: "
-                          "engine default (auto), pure Python (python), or "
-                          "the optional C extension with silent fallback "
-                          "when it is not built (compiled; build it with "
+                     help="simulation tier for single-core jobs and "
+                          "exact multi-core mixes: engine default (auto), "
+                          "pure Python (python), or the optional C extension "
+                          "with silent fallback when it is not built "
+                          "(compiled; build it with "
                           "`python setup.py build_ext --inplace`); "
                           "statistics are bit-identical either way")
     run.add_argument("--cache-dir", default=None,
@@ -213,8 +214,9 @@ def _build_parser() -> argparse.ArgumentParser:
                             "over the shared cases")
     bench.add_argument("--kernel", choices=("auto", "python", "compiled"),
                        default="auto",
-                       help="prefetcher tier for single-core cases "
-                            "(mix cases keep the engine default); case keys "
+                       help="simulation tier for single-core cases and "
+                            "the exact-mode mix (the epoch mix keeps the "
+                            "engine default); case keys "
                             "are tier-independent, so a compiled-tier run's "
                             "per-case ratios against a pure-Python baseline "
                             "read directly as the compiled speedup")
@@ -593,8 +595,8 @@ def _cmd_bench(args: argparse.Namespace) -> int:
     )
     if args.kernel == "compiled" and not result.get("compiled_kernel_available"):
         print(
-            "note: compiled kernel extension not built; single-core cases "
-            "fell back to the pure-Python tier "
+            "note: compiled kernel extension not built; single-core and "
+            "exact-mix cases fell back to the pure-Python tier "
             "(`python setup.py build_ext --inplace` to build it)",
             file=sys.stderr,
         )

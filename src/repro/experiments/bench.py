@@ -141,9 +141,9 @@ class BenchCase:
     recorded in every snapshot and the scalar path keeps regression
     coverage.
 
-    ``kernel`` is the prefetcher tier (``"auto"``/``"python"``/
-    ``"compiled"``) of single-core cases.  It is deliberately *not* part
-    of the case key: a snapshot taken under ``--kernel compiled``
+    ``kernel`` is the tier (``"auto"``/``"python"``/``"compiled"``) of
+    single-core cases and of the exact-mode mix.  It is deliberately *not*
+    part of the case key: a snapshot taken under ``--kernel compiled``
     carries the same keys as a pure-Python one, so ``compare_bench``
     lines the tiers up case-by-case and the compiled lane's ratios read
     directly as its speedup.  The tier is recorded in the case payload
@@ -358,6 +358,7 @@ def _run_mix_case(
         trace_length=per_core_length,
         max_instructions_per_core=trace_length,
         mode=case.mode,
+        kernel=case.kernel,
     )
 
     def run_once():
@@ -391,9 +392,10 @@ def run_bench(
     ``trace_length`` defaults to :data:`BENCH_TRACE_LENGTH` (resolved at
     call time so tests can shrink the suite).  ``progress`` is an optional
     callable receiving one line per finished case (used by the CLI to
-    stream results).  ``kernel`` selects the prefetcher tier of
-    every single-core case (mix cases drive the multi-core scheduler and
-    keep the engine default); case keys are tier-independent, so a
+    stream results).  ``kernel`` selects the tier of every single-core
+    case and of the exact-mode mix case (under ``"compiled"`` that mix
+    runs in C; the epoch-mode mix keeps the engine default, since epoch
+    mixes always run in Python); case keys are tier-independent, so a
     compiled-tier run compares case-by-case against pure-Python
     baselines.  ``kinds`` restricts the run to the named case kinds (see
     :func:`bench_cases`).
@@ -411,7 +413,7 @@ def run_bench(
     tier_eligible: List[BenchCase] = []
     with tempfile.TemporaryDirectory(prefix="repro-bench-") as tmp_dir:
         for case in bench_cases(quick, kinds=kinds):
-            if case.kind != "mix" and kernel != "auto":
+            if kernel != "auto" and (case.kind != "mix" or case.mode == "exact"):
                 case = replace(case, kernel=kernel)
             if case.kind == "mix":
                 payload = _run_mix_case(case, trace_length, repeats)

@@ -157,6 +157,11 @@ class MixSimulationJob:
     ``system`` is the per-core base configuration; the simulator scales the
     shared LLC/DRAM for ``len(specs)`` cores exactly as the paper's Table
     II does.
+
+    ``kernel`` is the tier knob of :class:`SimulationJob`: under
+    ``"compiled"`` an exact mix of generated traces runs inside the C
+    extension (see :mod:`repro.sim.multicore`).  Bit-identical for every
+    value, so excluded from the key like ``workers``.
     """
 
     specs: Tuple[TraceSpec, ...]
@@ -168,10 +173,11 @@ class MixSimulationJob:
     epoch_instructions: int = 0
     prefetcher_params: Tuple[Tuple[str, object], ...] = ()
     workers: int = 1
+    kernel: str = "auto"
 
     #: Execution-detail fields deliberately left out of the job key (see
     #: :attr:`SimulationJob.KEY_EXCLUDED`); checked by ``repro lint`` R1.
-    KEY_EXCLUDED = ("workers",)
+    KEY_EXCLUDED = ("workers", "kernel")
 
     def __post_init__(self) -> None:
         if not self.specs:
@@ -180,6 +186,13 @@ class MixSimulationJob:
             raise ValueError(
                 f"unknown mix mode {self.mode!r}; expected one of {MIX_MODES}"
             )
+        if self.kernel not in KERNEL_MODES:
+            raise ValueError(
+                f"unknown kernel mode {self.kernel!r}; "
+                f"expected one of {KERNEL_MODES}"
+            )
+        if self.max_instructions_per_core <= 0:
+            raise ValueError("max_instructions_per_core must be positive")
 
     @property
     def num_cores(self) -> int:
@@ -331,6 +344,9 @@ def _execute_mix_job(job: MixSimulationJob) -> MultiCoreStats:
             # Re-openable streaming handle: the mix replays it by
             # re-opening, so file-backed cores run in O(1) memory.
             traces.append(spec.replayable(length=job.trace_length))
+        elif job.kernel == "compiled":
+            # The C mix reads the decoded arrays directly.
+            traces.append(batched_trace_cached(spec, job.trace_length))
         else:
             traces.append(build_trace_cached(spec, job.trace_length))
     if job.is_baseline:
@@ -343,6 +359,7 @@ def _execute_mix_job(job: MixSimulationJob) -> MultiCoreStats:
         prefetcher_factory=prefetcher_factory,
         config=job.system,
         name=job.name,
+        kernel=job.kernel,
     )
     return simulator.run(
         traces,

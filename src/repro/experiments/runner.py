@@ -198,7 +198,7 @@ class ExperimentRunner:
                 :class:`~repro.experiments.jobs.SimulationJob`); results
                 are bit-identical for every value.
             kernel: prefetcher tier forwarded to every single-core
-                job (``"auto"``/``"python"``/``"compiled"``, see
+                and mix job (``"auto"``/``"python"``/``"compiled"``, see
                 :class:`~repro.experiments.jobs.SimulationJob`); like
                 ``batch``, results are bit-identical for every value and
                 ``"compiled"`` silently falls back when the extension is
@@ -270,6 +270,7 @@ class ExperimentRunner:
             epoch_instructions=epoch_instructions,
             workers=workers,
             prefetcher_params=_normalize_params(prefetcher_params),
+            kernel=self.kernel,
         )
 
     # ------------------------------------------------------------------ #

@@ -27,6 +27,32 @@ Two execution schedules are provided:
   Relative to ``exact``, the approximation is bounded by the epoch length;
   single-core mixes are bit-identical, and ``tests/test_multicore.py``
   pins the per-core IPC error on golden multi-core mixes.
+
+Execution tiers (the ``kernel`` knob, as for single-core runs):
+
+================================  ======================================
+mix                               runs on
+================================  ======================================
+exact, ``kernel="compiled"``      the C extension (``_kernels.run_mix``):
+                                  one ``DriverKernel`` per core sharing
+                                  one LLC and one DRAM, one Python
+                                  crossing per mix
+exact or epoch, ``auto``/         the Python object loop below, the
+``python``                        bit-exact oracle
+declined under ``"compiled"``:    the Python object loop (C train twins
+epoch mode, file-backed traces,   where a design has one); the reason is
+a design without a C twin, ...    recorded
+================================  ======================================
+
+Epoch mode stays in Python.  It exists to approximate the exact schedule
+with independent core-epochs; in C that would need the recording shadows
+and log replay of :mod:`repro.sim.sharding` as well, while the exact C
+mix is already far faster than either Python schedule.  The tier that ran
+is :attr:`MultiCoreSimulator.kernel_tier_used`, with
+:attr:`~MultiCoreSimulator.kernel_decline_reason`.  After a C mix the
+shared LLC and DRAM state stays in the kernels until
+:attr:`~MultiCoreSimulator.shared_llc` or
+:attr:`~MultiCoreSimulator.shared_dram` is read.
 """
 
 from __future__ import annotations
@@ -39,6 +65,7 @@ from repro.sim.config import SystemConfig, default_system_config
 from repro.sim.cpu import CoreTimingModel
 from repro.sim.dram import DRAMModel
 from repro.sim.hierarchy import CacheHierarchy
+from repro.sim.driver import attach_mix
 from repro.sim.sharding import (
     CowCacheShadow,
     RecordingCache,
@@ -47,7 +74,7 @@ from repro.sim.sharding import (
     replay_llc_log,
     shifted_ghosts,
 )
-from repro.sim.simulator import _TraceReplayer
+from repro.sim.simulator import KERNEL_MODES, _TraceReplayer, resolve_kernel
 from repro.sim.stats import MultiCoreStats, SimulationStats
 from repro.sim.types import AccessType, MemoryAccess
 
@@ -76,14 +103,11 @@ class _CoreContext:
         trace,
         shared_llc: Cache,
         shared_dram: DRAMModel,
-        name: str,
+        stats: SimulationStats,
     ) -> None:
         self.core_id = core_id
         self.prefetcher = prefetcher
-        self.stats = SimulationStats(
-            name=name,
-            prefetcher=getattr(prefetcher, "name", "none") if prefetcher else "none",
-        )
+        self.stats = stats
         self.hierarchy = CacheHierarchy(
             config, stats=self.stats, shared_llc=shared_llc, shared_dram=shared_dram
         )
@@ -95,13 +119,6 @@ class _CoreContext:
             # prefetcher/hierarchy pairing is rewired.
             if self._notify_prefetcher_eviction not in listeners:
                 listeners.append(self._notify_prefetcher_eviction)
-        # Mixes replay traces indefinitely to keep pressuring shared
-        # resources, so the source must be replayable: materialized
-        # sequences and re-openable handles (TraceFile) are used as-is —
-        # the latter replay by re-opening, keeping memory O(1) — while
-        # one-shot iterators are materialized.
-        if hasattr(trace, "__next__"):
-            trace = list(trace)
         self.replayer = _TraceReplayer(trace)
         self.executed_instructions = 0
         self.budget = 0
@@ -184,16 +201,52 @@ class MultiCoreSimulator:
         prefetcher_factory: Optional[Callable[[], object]] = None,
         config: Optional[SystemConfig] = None,
         name: str = "",
+        kernel: str = "auto",
     ) -> None:
         if num_cores < 1:
             raise ValueError("num_cores must be >= 1")
+        if kernel not in KERNEL_MODES:
+            raise ValueError(
+                f"unknown kernel mode {kernel!r}; expected one of {KERNEL_MODES}"
+            )
         base = config if config is not None else default_system_config(num_cores)
         self.config = base.scaled_for_cores(num_cores)
         self.num_cores = num_cores
         self.prefetcher_factory = prefetcher_factory
         self.name = name
-        self.shared_llc = Cache(self.config.llc)
-        self.shared_dram = DRAMModel(self.config.dram)
+        #: Requested kernel tier.  ``"compiled"`` runs the prefetchers'
+        #: C twins and, for exact mixes, the whole interleave in C.
+        self.kernel_mode = kernel
+        #: Tier that executed the last :meth:`run`: ``"compiled-driver"``
+        #: (the mix in C), ``"compiled"`` (Python loop calling C train
+        #: kernels) or ``"python"``.
+        self.kernel_tier_used: Optional[str] = None
+        #: Why the C mix did not engage (``None`` when it did, or when it
+        #: was never requested).
+        self.kernel_decline_reason: Optional[str] = None
+        self._shared_llc = Cache(self.config.llc)
+        self._shared_dram = DRAMModel(self.config.dram)
+        #: A finished C mix still holding the LLC and DRAM state; reading
+        #: :attr:`shared_llc` or :attr:`shared_dram` exports it.
+        self._unexported = None
+
+    def _export(self) -> None:
+        mix = self._unexported
+        if mix is not None:
+            self._unexported = None
+            mix.detach()
+
+    @property
+    def shared_llc(self) -> Cache:
+        """The shared LLC (exported from C on first read after a C mix)."""
+        self._export()
+        return self._shared_llc
+
+    @property
+    def shared_dram(self) -> DRAMModel:
+        """The shared DRAM (exported from C on first read after a C mix)."""
+        self._export()
+        return self._shared_dram
 
     def run(
         self,
@@ -205,10 +258,11 @@ class MultiCoreSimulator:
     ) -> MultiCoreStats:
         """Simulate the mix; ``traces`` must contain one trace per core.
 
-        Each entry may be a materialized access sequence or a re-openable
-        streaming handle (:class:`repro.workloads.formats.TraceFile`);
-        handles are replayed by re-opening, so an n-core mix over file
-        traces runs in O(1) memory per core.
+        Each entry may be a materialized access sequence, a pre-decoded
+        :class:`~repro.sim.batch.BatchedTrace` or a re-openable streaming
+        handle (:class:`repro.workloads.formats.TraceFile`); handles are
+        replayed by re-opening, so an n-core mix over file traces runs in
+        O(1) memory per core.
 
         ``mode`` selects the schedule (see the module docstring):
         ``"exact"`` interleaves access-by-access, ``"epoch"`` runs the
@@ -223,11 +277,68 @@ class MultiCoreSimulator:
             raise ValueError(
                 f"expected {self.num_cores} traces, got {len(traces)}"
             )
-        contexts: List[_CoreContext] = []
-        for core_id, trace in enumerate(traces):
-            prefetcher = (
-                self.prefetcher_factory() if self.prefetcher_factory else None
+        if max_instructions_per_core <= 0:
+            raise ValueError("max_instructions_per_core must be positive")
+        # Mixes replay traces indefinitely to keep pressuring shared
+        # resources, so every source must be replayable: materialized
+        # sequences and re-openable handles (TraceFile) are used as-is —
+        # the latter replay by re-opening, keeping memory O(1) — while
+        # one-shot iterators are materialized.
+        traces = [
+            list(trace) if hasattr(trace, "__next__") else trace for trace in traces
+        ]
+        prefetchers = [
+            resolve_kernel(self.prefetcher_factory(), self.kernel_mode)
+            if self.prefetcher_factory
+            else None
+            for _ in traces
+        ]
+        per_core = [
+            SimulationStats(
+                name=f"{self.name}.core{core_id}",
+                prefetcher=(
+                    getattr(prefetcher, "name", "none") if prefetcher else "none"
+                ),
             )
+            for core_id, prefetcher in enumerate(prefetchers)
+        ]
+
+        mix, reason = None, None
+        if self.kernel_mode == "compiled":
+            mix, reason = attach_mix(
+                self.config, self.shared_llc, self.shared_dram,
+                traces, prefetchers, mode,
+            )
+        self.kernel_decline_reason = reason
+        if mix is not None:
+            self.kernel_tier_used = "compiled-driver"
+            mix.run(per_core, max_instructions_per_core)
+            # The kernels keep the LLC and DRAM state until someone reads it.
+            self._unexported = mix
+        else:
+            compiled_train = any(
+                getattr(prefetcher, "_kernel", None) is not None
+                for prefetcher in prefetchers
+            )
+            self.kernel_tier_used = "compiled" if compiled_train else "python"
+            self._run_python(
+                traces, prefetchers, per_core, max_instructions_per_core,
+                mode, epoch_instructions, workers,
+            )
+
+        result = MultiCoreStats(name=self.name, prefetcher=per_core[0].prefetcher)
+        for core_id, stats in enumerate(per_core):
+            result.per_core[core_id] = stats
+        return result
+
+    def _run_python(
+        self, traces, prefetchers, per_core, budget, mode, epoch_instructions, workers
+    ) -> None:
+        """The Python object loop: the oracle of every schedule."""
+        contexts: List[_CoreContext] = []
+        for core_id, (trace, prefetcher, stats) in enumerate(
+            zip(traces, prefetchers, per_core)
+        ):
             context = _CoreContext(
                 core_id=core_id,
                 config=self.config,
@@ -235,27 +346,19 @@ class MultiCoreSimulator:
                 trace=trace,
                 shared_llc=self.shared_llc,
                 shared_dram=self.shared_dram,
-                name=f"{self.name}.core{core_id}",
+                stats=stats,
             )
-            context.budget = max_instructions_per_core
+            context.budget = budget
             contexts.append(context)
 
         if mode == "exact":
             self._run_exact(contexts)
         else:
             if epoch_instructions <= 0:
-                epoch_instructions = default_epoch_instructions(
-                    max_instructions_per_core
-                )
+                epoch_instructions = default_epoch_instructions(budget)
             self._run_epoch(contexts, epoch_instructions, workers)
-
-        result = MultiCoreStats(
-            name=self.name,
-            prefetcher=contexts[0].stats.prefetcher if contexts else "none",
-        )
         for context in contexts:
-            result.per_core[context.core_id] = context.finalize()
-        return result
+            context.finalize()
 
     # ------------------------------------------------------------------ #
     # Schedules
@@ -352,6 +455,7 @@ def simulate_mix(
     mode: str = "exact",
     epoch_instructions: int = 0,
     workers: int = 1,
+    kernel: str = "auto",
 ) -> MultiCoreStats:
     """Convenience wrapper around :class:`MultiCoreSimulator`."""
     simulator = MultiCoreSimulator(
@@ -359,6 +463,7 @@ def simulate_mix(
         prefetcher_factory=prefetcher_factory,
         config=config,
         name=name,
+        kernel=kernel,
     )
     return simulator.run(
         traces,

@@ -80,6 +80,21 @@ class TestBenchSuiteDefinition:
         for value in result["geomean_by_kind"].values():
             assert value > 0
 
+    def test_compiled_tier_reaches_the_exact_mix_only(self, monkeypatch):
+        seen = {}
+
+        def fake_mix_case(case, trace_length, repeats):
+            seen[case.mode] = case.kernel
+            return {"kind": "mix", "accesses_per_sec": 1.0}
+
+        monkeypatch.setattr(bench, "_run_mix_case", fake_mix_case)
+        result = bench.run_bench(
+            repeats=1, trace_length=400, kernel="compiled", kinds=("mix",)
+        )
+        assert seen == {"exact": "compiled", "epoch": "auto"}
+        default = bench.bench_cases(quick=False, kinds=("mix",))
+        assert set(result["cases"]) == {c.key(400) for c in default}
+
     def test_run_bench_rejects_zero_repeats(self):
         with pytest.raises(ValueError):
             bench.run_bench(repeats=0)

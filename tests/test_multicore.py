@@ -17,6 +17,10 @@ Covers the acceptance properties of the sharded multi-core subsystem:
 * **Engine integration** — mix jobs are content-keyed (trace tuples,
   schedule parameters), sharded across worker processes bit-identically,
   and answered from the persistent cache on warm re-runs.
+* **Compiled mixes** — under ``kernel="compiled"`` an exact mix runs in
+  C (``_kernels.run_mix``) and equals the Python object loop on every
+  statistic and on the shared LLC/DRAM state it leaves behind; every
+  decline is recorded and falls back to the Python result.
 """
 
 from __future__ import annotations
@@ -33,12 +37,24 @@ from repro.experiments.executors import ParallelExecutor, SerialExecutor
 from repro.experiments.jobs import MixSimulationJob, execute_job
 from repro.prefetchers.registry import create_prefetcher
 from repro.sim import default_system_config, simulate_mix
-from repro.sim.multicore import MIX_MODES, default_epoch_instructions
+from repro.sim.driver import driver_available
+from repro.sim.multicore import (
+    MIX_MODES,
+    MultiCoreSimulator,
+    default_epoch_instructions,
+)
 from repro.sim.stats import MultiCoreStats
 from repro.sim.types import MemoryAccess
 from repro.workloads.trace import TraceSpec
 
 GOLDEN_PATH = Path(__file__).parent / "goldens" / "multicore.json"
+
+needs_driver = pytest.mark.skipif(
+    not driver_available(), reason="repro._kernels extension not built"
+)
+
+#: Both mix tiers; the compiled one needs the extension.
+TIERS = ["python", pytest.param("compiled", marks=needs_driver)]
 
 _REFRESH = os.environ.get("REFRESH_GOLDENS", "") not in ("", "0")
 
@@ -126,6 +142,10 @@ def _expected_measured(trace, budget):
 # Stat gating at budget exhaustion
 # --------------------------------------------------------------------------- #
 class TestFinishedCoreGating:
+    """Stat gating on the Python tier (see the compiled subclass below)."""
+
+    KERNEL = "python"
+
     def test_finished_core_stops_accumulating_stats(self):
         # Core 1's large gaps exhaust its budget in a tenth of the steps,
         # after which it keeps replaying (pressure) for the whole remainder
@@ -134,7 +154,8 @@ class TestFinishedCoreGating:
         budget = 2_000
         traces = [_flat_trace(256, 0, pc=0x1), _flat_trace(256, 9, pc=0x2)]
         result = simulate_mix(
-            traces, None, default_system_config(2), budget, name="gating"
+            traces, None, default_system_config(2), budget, name="gating",
+            kernel=self.KERNEL,
         )
         for core_id, trace in enumerate(traces):
             instructions, accesses = _expected_measured(trace, budget)
@@ -153,7 +174,8 @@ class TestFinishedCoreGating:
         # much longer overrun — but the fast core's *instruction/cycle*
         # snapshot must still be taken at the same boundary.
         result_short = simulate_mix(
-            [short_partner, fast], None, default_system_config(2), 1_000
+            [short_partner, fast], None, default_system_config(2), 1_000,
+            kernel=self.KERNEL,
         )
         instructions, accesses = _expected_measured(fast, 1_000)
         stats = result_short.per_core[1]
@@ -161,10 +183,19 @@ class TestFinishedCoreGating:
         assert stats.demand_accesses == accesses
 
     def test_all_cores_reach_budget(self):
-        result = _run_mix("mix2-spatial-streaming", prefetcher=None)
+        result = _run_mix(
+            "mix2-spatial-streaming", prefetcher=None, kernel=self.KERNEL
+        )
         for stats in result.per_core.values():
             assert stats.instructions >= GOLDEN_MIXES["mix2-spatial-streaming"]["budget"]
             assert stats.cycles > 0
+
+
+@needs_driver
+class TestFinishedCoreGatingCompiled(TestFinishedCoreGating):
+    """The same gating cases on the C mix."""
+
+    KERNEL = "compiled"
 
 
 # --------------------------------------------------------------------------- #
@@ -404,3 +435,223 @@ class TestMixJobs:
         results = engine.run_jobs([_mix_job(), _mix_job()])
         assert engine.simulations_run == 1
         assert results[0] is results[1]
+
+
+# --------------------------------------------------------------------------- #
+# Compiled exact mixes (the C interleave) vs the Python object loop
+# --------------------------------------------------------------------------- #
+COMPILED_DESIGNS = [None, "vberti", "pmp", "gaze", "triangel"]
+
+
+def _factory(prefetcher):
+    return (lambda: create_prefetcher(prefetcher)) if prefetcher else None
+
+
+def _shared_state(simulator):
+    """Everything a mix leaves in the shared LLC and DRAM, as plain data."""
+    llc = simulator.shared_llc
+    dram = simulator.shared_dram
+    blocks = [
+        [
+            (b.block, b.prefetched, b.prefetch_useful, b.from_dram, b.dirty,
+             b.useful_counted)
+            for b in cache_set.values()
+        ]
+        for cache_set in llc._sets
+    ]
+    return {
+        "llc": blocks,
+        "llc_counters": (
+            llc.hits, llc.misses, llc.evictions, llc.useless_prefetch_evictions
+        ),
+        "open_row": dict(dram._open_row),
+        "bank_busy": dict(dram._bank_busy_until),
+        "channel_busy": list(dram._channel_busy_until),
+        "dram_stats": dram.stats,
+    }
+
+
+def _simulator(traces, prefetcher, kernel, name="m"):
+    return MultiCoreSimulator(
+        len(traces),
+        _factory(prefetcher),
+        default_system_config(len(traces)),
+        name=name,
+        kernel=kernel,
+    )
+
+
+@needs_driver
+class TestCompiledMix:
+    @pytest.mark.parametrize("prefetcher", COMPILED_DESIGNS)
+    @pytest.mark.parametrize("mix_key", sorted(GOLDEN_MIXES))
+    def test_golden_mixes_equal_python(self, mix_key, prefetcher):
+        python = _run_mix(mix_key, prefetcher=prefetcher, kernel="python")
+        compiled = _run_mix(mix_key, prefetcher=prefetcher, kernel="compiled")
+        assert compiled.to_dict() == python.to_dict()
+
+    @pytest.mark.parametrize("prefetcher", COMPILED_DESIGNS)
+    @pytest.mark.parametrize("cores", [1, 2, 4])
+    def test_core_counts_equal_python(self, cores, prefetcher):
+        # Core i replays golden-mix trace i % 2 (the 4-core mix is two
+        # homogeneous pairs sharing one trace object per pair).
+        base = _traces("mix2-spatial-streaming")
+        traces = [base[i % 2] for i in range(cores)]
+        results = {}
+        for kernel in ("python", "compiled"):
+            simulator = _simulator(traces, prefetcher, kernel)
+            results[kernel] = simulator.run(traces, 3_000).to_dict()
+            assert simulator.kernel_tier_used == (
+                "compiled-driver" if kernel == "compiled"
+                else "python"
+            )
+            assert simulator.kernel_decline_reason is None
+        assert results["compiled"] == results["python"]
+
+    @pytest.mark.parametrize("prefetcher", [None, "gaze", "pmp"])
+    def test_shared_state_equals_python(self, prefetcher):
+        traces = _traces("mix4-hetero")
+        states = {}
+        for kernel in ("python", "compiled"):
+            simulator = _simulator(traces, prefetcher, kernel)
+            simulator.run(traces, 4_500)
+            states[kernel] = _shared_state(simulator)
+        assert states["compiled"] == states["python"]
+        assert states["python"]["llc_counters"][1] > 0
+
+    def test_second_run_continues_from_shared_state(self):
+        # A second run() starts from the LLC/DRAM the first one left: the
+        # compiled tier loads it back from the pending kernels.
+        traces = _traces("mix2-spatial-streaming")
+        outcomes = {}
+        for kernel in ("python", "compiled"):
+            simulator = _simulator(traces, "gaze", kernel)
+            first = simulator.run(traces, 2_000).to_dict()
+            second = simulator.run(traces, 2_000).to_dict()
+            outcomes[kernel] = (first, second, _shared_state(simulator))
+        assert outcomes["compiled"] == outcomes["python"]
+        assert outcomes["python"][0] != outcomes["python"][1]
+
+    def test_run_mix_checks_its_arguments(self):
+        from repro import _kernels
+        from repro.sim.batch import BatchedTrace
+        from repro.sim.cpu import CoreTimingModel
+        from repro.sim.driver import _new_kernel
+        from repro.sim.hierarchy import CacheHierarchy
+
+        config = default_system_config(2).scaled_for_cores(2)
+        hierarchy = CacheHierarchy(config)
+        core = CoreTimingModel(config.core)
+        leader = _new_kernel(hierarchy, core, None)
+        follower = _new_kernel(hierarchy, core, None, shared=leader)
+        loner = _new_kernel(hierarchy, core, None)
+        decoded = BatchedTrace.from_accesses(_flat_trace(64, 1))
+        arrays = (decoded.addresses, decoded.pcs, decoded.blocks, decoded.gaps,
+                  decoded.kinds)
+        with pytest.raises(ValueError, match="share"):
+            _kernels.run_mix([leader, loner], [arrays, arrays], 100)
+        with pytest.raises(ValueError, match="twice"):
+            _kernels.run_mix([leader, leader], [arrays, arrays], 100)
+        with pytest.raises(ValueError, match="positive"):
+            _kernels.run_mix([leader, follower], [arrays, arrays], 0)
+        with pytest.raises(ValueError, match="one trace per kernel"):
+            _kernels.run_mix([leader, follower], [arrays], 100)
+        with pytest.raises(ValueError, match="empty"):
+            _kernels.run_mix([leader], [([], [], [], [], bytearray())], 100)
+        other = default_system_config(1)
+        with pytest.raises(ValueError, match="different LLC"):
+            _new_kernel(CacheHierarchy(other), core, None, shared=leader)
+        rows = _kernels.run_mix([leader, follower], [arrays, arrays], 100)
+        assert [row[0] for row in rows] == [100, 100]
+
+    def test_shared_owner_cannot_be_reinitialised(self, monkeypatch):
+        # A mix core points into its owner's LLC/DRAM arrays, so the owner
+        # may not reallocate them while a core still borrows them.
+        import types
+
+        from repro import _kernels
+        from repro.sim import driver
+        from repro.sim.cpu import CoreTimingModel
+        from repro.sim.hierarchy import CacheHierarchy
+
+        made = []
+
+        def record(**kwargs):
+            made.append(kwargs)
+            return _kernels.DriverKernel(**kwargs)
+
+        monkeypatch.setattr(
+            driver, "_kernels", types.SimpleNamespace(DriverKernel=record)
+        )
+        config = default_system_config(2).scaled_for_cores(2)
+        hierarchy = CacheHierarchy(config)
+        core = CoreTimingModel(config.core)
+        owner = driver._new_kernel(hierarchy, core, None)
+        borrower = driver._new_kernel(hierarchy, core, None, shared=owner)
+        with pytest.raises(RuntimeError, match="share"):
+            owner.__init__(**made[0])
+        borrower.__init__(**made[0])  # now owns its own state
+        owner.__init__(**made[0])
+
+    def test_mix_job_equals_python_and_keeps_its_key(self):
+        python = _mix_job(kernel="python")
+        compiled = _mix_job(kernel="compiled")
+        assert compiled.key() == python.key() == _mix_job().key()
+        assert compiled.to_dict() == python.to_dict()
+        assert execute_job(compiled).to_dict() == execute_job(python).to_dict()
+
+
+class TestCompiledMixDeclines:
+    def _declined(self, traces, prefetcher, **run):
+        python = _simulator(traces, prefetcher, "python").run(traces, 3_000, **run)
+        simulator = _simulator(traces, prefetcher, "compiled")
+        result = simulator.run(traces, 3_000, **run)
+        assert result.to_dict() == python.to_dict()
+        assert simulator.kernel_tier_used != "compiled-driver"
+        return simulator.kernel_decline_reason
+
+    @needs_driver
+    def test_epoch_mode(self):
+        reason = self._declined(_traces("mix2-spatial-streaming"), "gaze", mode="epoch")
+        assert "epoch" in reason
+
+    @needs_driver
+    def test_file_backed_handles(self, tmp_path):
+        from repro.workloads import formats as trace_formats
+
+        handles = []
+        for index, trace in enumerate(_traces("mix2-spatial-streaming")):
+            path = tmp_path / f"core{index}.gzt.gz"
+            trace_formats.save_trace_file(iter(trace), str(path))
+            handles.append(trace_formats.TraceFile(str(path)))
+        assert "streamed" in self._declined(handles, "gaze")
+
+    @needs_driver
+    def test_design_without_twin(self):
+        reason = self._declined(_traces("mix2-spatial-streaming"), "bingo")
+        assert "bingo" in reason and "twin" in reason
+
+    def test_missing_extension(self, monkeypatch):
+        from repro.sim import driver
+
+        monkeypatch.setattr(driver, "_kernels", None)
+        reason = self._declined(_traces("mix2-spatial-streaming"), None)
+        assert "not built" in reason
+
+
+class TestMixBudgetValidation:
+    @pytest.mark.parametrize("kernel", TIERS)
+    @pytest.mark.parametrize("budget", [0, -5])
+    def test_simulator_rejects_nonpositive_budget(self, budget, kernel):
+        traces = _traces("mix2-spatial-streaming")
+        with pytest.raises(ValueError, match="max_instructions_per_core"):
+            _simulator(traces, "gaze", kernel).run(traces, budget)
+
+    @pytest.mark.parametrize("budget", [0, -5])
+    def test_job_rejects_nonpositive_budget(self, budget):
+        with pytest.raises(ValueError, match="max_instructions_per_core"):
+            _mix_job(max_instructions_per_core=budget)
+
+    def test_job_rejects_unknown_kernel(self):
+        with pytest.raises(ValueError, match="kernel"):
+            _mix_job(kernel="fast")
