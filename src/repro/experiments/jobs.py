@@ -27,11 +27,11 @@ from __future__ import annotations
 import time
 from collections import OrderedDict
 from dataclasses import dataclass, field
-from typing import Dict, List, Optional, Tuple, Union
+from typing import Dict, Optional, Sequence, Tuple, Union
 
 from repro.hashing import content_hash
 from repro.prefetchers.registry import create_prefetcher
-from repro.sim.batch import BatchedTrace
+from repro.sim.batch import BatchedTrace, decode_trace
 from repro.sim.config import SystemConfig
 from repro.sim.multicore import MIX_MODES, MultiCoreSimulator
 from repro.sim.simulator import BATCH_MODES, KERNEL_MODES, simulate_trace
@@ -60,9 +60,9 @@ class SimulationJob:
 
     ``batch`` selects the simulation kernel (see
     :meth:`repro.sim.simulator.SingleCoreSimulator.run`): ``"auto"`` (the
-    default) runs generated traces through the batched kernel with a
-    per-process decoded-trace memo (file-backed traces in bounded chunks)
-    and ``"off"`` forces the scalar kernel.  Like
+    default) runs generated traces through the batched kernel from the
+    per-process trace memo (file-backed traces in bounded chunks) and
+    ``"off"`` forces the scalar kernel.  Like
     :attr:`MixSimulationJob.workers` it is an *execution* detail — results
     are bit-identical for every value — so it is deliberately excluded
     from :meth:`to_dict` and :meth:`key`.
@@ -257,22 +257,21 @@ JobResult = Union[SimulationStats, MultiCoreStats]
 # Worker processes are reused across jobs, so generating each trace once per
 # process (instead of once per job) removes the dominant non-simulation cost
 # of a grid.  The cache is keyed by trace content, bounded, and purely a
-# memoization — it never changes results.
-_TRACE_CACHE: "OrderedDict[Tuple[str, int], List[MemoryAccess]]" = OrderedDict()
+# memoization — it never changes results.  Generated traces are stored as
+# the generator's BatchedTrace (the decoded columns every tier reads), so
+# one entry serves the batched kernel, the C driver and, through its
+# Sequence view, every scalar consumer.
+_TRACE_CACHE: "OrderedDict[Tuple[str, int], Sequence[MemoryAccess]]" = OrderedDict()
 _TRACE_CACHE_LIMIT = 64
 
-#: Per-process memo of array-decoded traces (see :mod:`repro.sim.batch`),
-#: keyed like :data:`_TRACE_CACHE`.  Decode is pure, so this is — like the
-#: trace memo — an optimization that can never change results; it keeps
-#: repeated jobs over one trace (grids, bench repeats) from re-decoding.
-_BATCHED_CACHE: "OrderedDict[Tuple[str, int], BatchedTrace]" = OrderedDict()
 
-
-def build_trace_cached(spec: TraceSpec, length: int) -> List[MemoryAccess]:
+def build_trace_cached(spec: TraceSpec, length: int) -> Sequence[MemoryAccess]:
     """Build (or fetch from the per-process memo) the trace for ``spec``.
 
     Shared by :func:`execute_job` and :meth:`ExperimentRunner.trace_for`, so
-    one process holds at most one copy of each generated trace.
+    one process holds at most one copy of each trace: a
+    :class:`~repro.sim.batch.BatchedTrace` for generator specs, a list for
+    file-backed ones.
     """
     key = (spec.content_key(), length)
     cached = _TRACE_CACHE.get(key)
@@ -287,48 +286,28 @@ def build_trace_cached(spec: TraceSpec, length: int) -> List[MemoryAccess]:
 
 
 def batched_trace_cached(spec: TraceSpec, length: int) -> BatchedTrace:
-    """The array-decoded form of ``spec``'s trace, memoized per process.
+    """The decoded form of ``spec``'s memoized trace.
 
-    Decodes from the materialized-trace memo when that entry already
-    exists (free), but otherwise from a *transient* build that is not
-    inserted into :data:`_TRACE_CACHE` — default ``batch="auto"``
-    single-core jobs only ever read the decoded arrays, and pinning the
-    much larger access-object list next to them would roughly triple the
-    steady-state trace memory of every worker process.  Consumers that
-    need the list (mix jobs, the runner's baseline helpers) populate the
-    trace memo on demand as before.
+    For generator specs this is the memo entry itself, with no decode pass;
+    a file-backed spec's list is decoded on every call.
     """
-    key = (spec.content_key(), length)
-    cached = _BATCHED_CACHE.get(key)
-    if cached is None:
-        materialized = _TRACE_CACHE.get(key)
-        if materialized is None:
-            materialized = spec.build(length=length)
-        cached = BatchedTrace.from_accesses(materialized)
-        _BATCHED_CACHE[key] = cached
-        while len(_BATCHED_CACHE) > _TRACE_CACHE_LIMIT:
-            _BATCHED_CACHE.popitem(last=False)
-    else:
-        _BATCHED_CACHE.move_to_end(key)
-    return cached
+    return decode_trace(build_trace_cached(spec, length))
 
 
 def _trace_for_job(job: SimulationJob):
     """The job's trace in the shape the simulator should consume.
 
-    Generator specs return the per-process memoized *decoded* trace (the
-    batched kernel's input) unless the job opts out with ``batch="off"``,
-    which falls back to the materialized list.  File-backed specs return a
-    re-openable streaming handle, which the batched kernel decodes in
-    bounded chunks, so the simulation runs in O(chunk) memory whatever the
-    trace length (the content digest in the job key keeps cache identity
-    exact).
+    Generator specs return the per-process memoized
+    :class:`~repro.sim.batch.BatchedTrace`; under ``batch="off"`` the
+    simulator rebuilds the access objects from it for the scalar kernel.
+    File-backed specs return a re-openable streaming handle, which the
+    batched kernel decodes in bounded chunks, so the simulation runs in
+    O(chunk) memory whatever the trace length (the content digest in the
+    job key keeps cache identity exact).
     """
     if job.spec.source is not None:
         return job.spec.replayable(length=job.trace_length)
-    if job.batch == "off":
-        return build_trace_cached(job.spec, job.trace_length)
-    return batched_trace_cached(job.spec, job.trace_length)
+    return build_trace_cached(job.spec, job.trace_length)
 
 
 def _execute_mix_job(job: MixSimulationJob) -> MultiCoreStats:
@@ -344,10 +323,9 @@ def _execute_mix_job(job: MixSimulationJob) -> MultiCoreStats:
             # Re-openable streaming handle: the mix replays it by
             # re-opening, so file-backed cores run in O(1) memory.
             traces.append(spec.replayable(length=job.trace_length))
-        elif job.kernel == "compiled":
-            # The C mix reads the decoded arrays directly.
-            traces.append(batched_trace_cached(spec, job.trace_length))
         else:
+            # The C mix reads the decoded columns directly; the Python
+            # loop rebuilds one access object per step from them.
             traces.append(build_trace_cached(spec, job.trace_length))
     if job.is_baseline:
         prefetcher_factory = None

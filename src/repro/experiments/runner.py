@@ -276,7 +276,7 @@ class ExperimentRunner:
     # ------------------------------------------------------------------ #
     # Trace and baseline management
     # ------------------------------------------------------------------ #
-    def trace_for(self, spec: TraceSpec) -> List[MemoryAccess]:
+    def trace_for(self, spec: TraceSpec) -> Sequence[MemoryAccess]:
         """Build (or fetch from the process-wide cache) the trace for ``spec``.
 
         Delegates to the same per-process memo the job worker uses, so a

@@ -3,12 +3,17 @@
 The scalar kernel walks a trace as a sequence of
 :class:`~repro.sim.types.MemoryAccess` objects; every access costs four or
 five slotted-attribute reads before any simulation happens.  The batched
-kernel instead consumes a :class:`BatchedTrace`: the same trace *decoded
-once* into parallel arrays (addresses, PCs, instruction gaps, access kinds,
-plus cache-block numbers precomputed with the existing mask-based geometry),
-so the hot loop reads plain integers by index and the chunked L1-hit fast
-path (:meth:`repro.sim.cache.Cache.demand_hit_run`) can scan whole runs of
-consecutive accesses without touching a single access object.
+kernel and the C driver instead consume a :class:`BatchedTrace`: the same
+trace held in parallel arrays (addresses, PCs, instruction gaps, access
+kinds, plus cache-block numbers precomputed with the existing mask-based
+geometry), so the hot loop reads plain integers by index and the chunked
+L1-hit fast path (:meth:`repro.sim.cache.Cache.demand_hit_run`) can scan
+whole runs of consecutive accesses without touching a single access object.
+
+Generated traces are born in this layout: the workload generators yield
+``(pc, address, kind, gap)`` tuples that :meth:`BatchedTrace.from_records`
+transposes once.  :meth:`BatchedTrace.from_accesses` decodes everything
+else (file-backed traces, hand-built access lists) in one pass.
 
 Layout notes:
 
@@ -26,15 +31,17 @@ Layout notes:
   decode time so an unbudgeted run never pays a counting pass.
 
 A :class:`BatchedTrace` is also a read-only ``Sequence[MemoryAccess]``
-(items are reconstructed on demand), so every scalar consumer — the scalar
-kernel under ``batch="off"``, trace statistics, format writers — accepts one
-transparently.
+(items are reconstructed on demand, and it compares equal to a list of the
+same accesses), so every scalar consumer — the scalar kernel under
+``batch="off"``, Python mixes, trace statistics, format writers — accepts
+one transparently.
 """
 
 from __future__ import annotations
 
 from itertools import islice
-from typing import Iterable, Iterator, List, Optional, Sequence
+from operator import eq
+from typing import Iterable, Iterator, List, Optional, Sequence, Tuple
 
 from repro.sim.types import AccessType, MemoryAccess, BLOCK_SHIFT
 
@@ -99,6 +106,28 @@ class BatchedTrace(Sequence):
             total += gap + 1
         return cls(addresses, pcs, gaps, kinds, blocks, total)
 
+    @classmethod
+    def from_records(
+        cls, records: Sequence[Tuple[int, int, int, int]]
+    ) -> "BatchedTrace":
+        """Transpose ``(pc, address, kind, gap)`` records into the columns.
+
+        The workload generators' output path: one ``zip`` over plain tuples,
+        with ``kind`` already a ``KIND_*`` code, instead of one
+        :class:`MemoryAccess` per access and a decode pass over them.
+        """
+        if not records:
+            return cls([], [], [], bytearray(), [], 0)
+        pcs, addresses, kinds, gaps = zip(*records)
+        return cls(
+            list(addresses),
+            list(pcs),
+            list(gaps),
+            bytearray(kinds),
+            [address >> BLOCK_SHIFT for address in addresses],
+            sum(gaps) + len(gaps),
+        )
+
     # ------------------------------------------------------------------ #
     # Sequence protocol (scalar consumers reconstruct accesses on demand)
     # ------------------------------------------------------------------ #
@@ -124,6 +153,22 @@ class BatchedTrace(Sequence):
                 pc=pc, address=address, access_type=kind_to_type[kind],
                 instr_gap=gap,
             )
+
+    def __eq__(self, other) -> bool:
+        """Equal to another trace, or a list/tuple, with the same accesses."""
+        if isinstance(other, BatchedTrace):
+            return (
+                self.addresses == other.addresses
+                and self.pcs == other.pcs
+                and self.gaps == other.gaps
+                and self.kinds == other.kinds
+            )
+        if isinstance(other, (list, tuple)):
+            return len(other) == len(self) and all(map(eq, self, other))
+        return NotImplemented
+
+    #: Unhashable, like the list it stands in for.
+    __hash__ = None
 
     def __repr__(self) -> str:
         return (

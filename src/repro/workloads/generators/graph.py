@@ -22,10 +22,9 @@ RNG; no external graph data is required.
 
 from __future__ import annotations
 
-from typing import Iterable, List
+from typing import Iterator, List
 
-from repro.sim.types import MemoryAccess
-from repro.workloads.generators.base import WorkloadGenerator
+from repro.workloads.generators.base import AccessRecord, WorkloadGenerator
 
 
 class GraphWorkload(WorkloadGenerator):
@@ -90,9 +89,9 @@ class GraphWorkload(WorkloadGenerator):
             neighbours = set()
             for _ in range(degree):
                 if self.rng.random() < 0.3:
-                    neighbours.add(self.rng.randrange(hubs))
+                    neighbours.add(self.below(hubs))
                 else:
-                    neighbours.add(self.rng.randrange(self.num_vertices))
+                    neighbours.add(self.below(self.num_vertices))
             adjacency[vertex] = sorted(neighbours)
         return adjacency
 
@@ -112,7 +111,7 @@ class GraphWorkload(WorkloadGenerator):
         return self._FRONTIER_BASE * self.region_size + index * 8
 
     # Phases ---------------------------------------------------------------- #
-    def _generate_init_phase(self) -> Iterable[MemoryAccess]:
+    def _generate_init_phase(self) -> Iterator[AccessRecord]:
         """Data preparation: stream the offsets and edge arrays in order."""
         edge_index = 0
         while True:
@@ -129,7 +128,7 @@ class GraphWorkload(WorkloadGenerator):
         size = max(8, int(self.num_vertices * min(0.4, 0.02 * (iteration + 1))))
         return sorted(self.rng.sample(range(self.num_vertices), k=min(size, self.num_vertices)))
 
-    def _generate_compute_phase(self) -> Iterable[MemoryAccess]:
+    def _generate_compute_phase(self) -> Iterator[AccessRecord]:
         """Frontier traversal: streaming frontier/edges + irregular data."""
         iteration = 0
         edge_cursor = 0
@@ -150,7 +149,7 @@ class GraphWorkload(WorkloadGenerator):
                     yield self.access(self.pc_data_load, self._data_address(neighbour))
             iteration += 1
 
-    def _generate(self) -> Iterable[MemoryAccess]:
+    def _generate(self) -> Iterator[AccessRecord]:
         if self.phase == "init":
             return self._generate_init_phase()
         return self._generate_compute_phase()

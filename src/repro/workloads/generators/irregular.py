@@ -16,10 +16,9 @@ with the trigger offset alone -- and a substantial fraction of the accesses
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Iterable, List
+from typing import Iterator, List
 
-from repro.sim.types import MemoryAccess
-from repro.workloads.generators.base import WorkloadGenerator
+from repro.workloads.generators.base import AccessRecord, WorkloadGenerator
 
 
 class PointerChaseWorkload(WorkloadGenerator):
@@ -67,15 +66,15 @@ class PointerChaseWorkload(WorkloadGenerator):
         self._hot_pc = self.new_pc()
         self._hot_blocks = [0xF0000 + i for i in range(16)]
 
-    def _generate(self) -> Iterable[MemoryAccess]:
+    def _generate(self) -> Iterator[AccessRecord]:
         node = 0
         while True:
             if self.rng.random() < self.locality_fraction:
-                block = self.rng.choice(self._hot_blocks)
+                block = self._hot_blocks[self.below(len(self._hot_blocks))]
                 yield self.access(self._hot_pc, block * 64)
                 continue
             block = self._node_blocks[node]
-            yield self.access(self._chase_pc, block * 64 + self.rng.randrange(0, 64, 8))
+            yield self.access(self._chase_pc, block * 64 + 8 * self.below(8))
             node = self._next_node[node]
 
 
@@ -162,11 +161,11 @@ class CloudWorkload(WorkloadGenerator):
         return handlers
 
     def _new_region(self) -> int:
-        self._next_region += 1 + self.rng.randrange(4)
+        self._next_region += 1 + self.below(4)
         return self._next_region
 
-    def _handler_request(self) -> List[MemoryAccess]:
-        handler = self.rng.choice(self.handlers)
+    def _handler_request(self) -> List[AccessRecord]:
+        handler = self.handlers[self.below(len(self.handlers))]
         region = self._new_region()
         base = self.region_base(region)
         return [
@@ -174,18 +173,18 @@ class CloudWorkload(WorkloadGenerator):
             for offset in handler.footprint_offsets
         ]
 
-    def _irregular_access(self) -> MemoryAccess:
-        block = 0x600000 + self.rng.randrange(self._irregular_span)
+    def _irregular_access(self) -> AccessRecord:
+        block = 0x600000 + self.below(self._irregular_span)
         return self.access(self._irregular_pc, block * 64)
 
-    def _stride_access(self) -> MemoryAccess:
+    def _stride_access(self) -> AccessRecord:
         self._stride_position += 1
         address = 0x900000 * 64 + self._stride_position * 64
         return self.access(self._stride_pc, address)
 
-    def _generate(self) -> Iterable[MemoryAccess]:
+    def _generate(self) -> Iterator[AccessRecord]:
         # In-flight handler requests, interleaved with irregular traffic.
-        active: List[List[MemoryAccess]] = [
+        active: List[List[AccessRecord]] = [
             self._handler_request() for _ in range(self.concurrency)
         ]
         cursors = [0] * self.concurrency

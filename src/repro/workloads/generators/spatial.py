@@ -18,10 +18,9 @@ is also associated with a small set of PCs so fine-grained PC-based schemes
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Iterable, List, Sequence
+from typing import Iterator, List
 
-from repro.sim.types import MemoryAccess
-from repro.workloads.generators.base import WorkloadGenerator
+from repro.workloads.generators.base import AccessRecord, WorkloadGenerator
 
 
 @dataclass
@@ -123,10 +122,10 @@ class SpatialRecurrenceWorkload(WorkloadGenerator):
         return classes
 
     def _new_region_number(self) -> int:
-        self._next_region += 1 + self.rng.randrange(3)
+        self._next_region += 1 + self.below(3)
         return self._next_region
 
-    def _region_instance(self) -> List[MemoryAccess]:
+    def _region_instance(self) -> List[AccessRecord]:
         """Materialise one region instance as an ordered access list."""
         region = self._new_region_number()
         base = self.region_base(region)
@@ -135,19 +134,19 @@ class SpatialRecurrenceWorkload(WorkloadGenerator):
             offsets = self.rng.sample(range(self.blocks_per_region), k=count)
             pc = self.new_pc()
         else:
-            cls = self.rng.choice(self.classes)
+            cls = self.classes[self.below(len(self.classes))]
             offsets = cls.offsets
             pc = cls.pc
-        accesses: List[MemoryAccess] = []
+        accesses: List[AccessRecord] = []
         for offset in offsets:
             for element in range(self.accesses_per_block):
                 accesses.append(self.access(pc, base + offset * 64 + element * 8))
         return accesses
 
-    def _generate(self) -> Iterable[MemoryAccess]:
+    def _generate(self) -> Iterator[AccessRecord]:
         # Maintain ``concurrency`` in-flight regions and interleave their
         # accesses round-robin, mimicking overlapping loop iterations.
-        active: List[List[MemoryAccess]] = [
+        active: List[List[AccessRecord]] = [
             self._region_instance() for _ in range(self.concurrency)
         ]
         cursors = [0] * self.concurrency

@@ -9,10 +9,9 @@ Gaze's streaming module (DPCT/DC + two-stage aggressiveness) targets.
 
 from __future__ import annotations
 
-from typing import Iterable, List
+from typing import Iterator
 
-from repro.sim.types import AccessType, MemoryAccess
-from repro.workloads.generators.base import WorkloadGenerator
+from repro.workloads.generators.base import AccessRecord, WorkloadGenerator
 
 
 class StreamingWorkload(WorkloadGenerator):
@@ -63,7 +62,7 @@ class StreamingWorkload(WorkloadGenerator):
 
     def _region_accesses(
         self, array_index: int, region_index: int
-    ) -> Iterable[MemoryAccess]:
+    ) -> Iterator[AccessRecord]:
         """Yield a fully dense, in-order sweep of one region."""
         region = self._array_base_regions[array_index] + region_index
         base = self.region_base(region)
@@ -72,7 +71,7 @@ class StreamingWorkload(WorkloadGenerator):
             for element in range(self.accesses_per_block):
                 yield self.access(pc, base + offset * 64 + element * 8)
 
-    def _generate(self) -> Iterable[MemoryAccess]:
+    def _generate(self) -> Iterator[AccessRecord]:
         region_index = 0
         while True:
             for array_index in range(self.num_arrays):
@@ -121,7 +120,7 @@ class StridedWorkload(WorkloadGenerator):
             self.rng.randrange(stride_blocks) for _ in range(num_streams)
         ]
 
-    def _generate(self) -> Iterable[MemoryAccess]:
+    def _generate(self) -> Iterator[AccessRecord]:
         positions = [0] * self.num_streams
         while True:
             for stream in range(self.num_streams):

@@ -26,10 +26,10 @@ length, streamability and round-trips through every trace format.
 
 from __future__ import annotations
 
-from typing import Iterable, List
+from typing import Iterator, List
 
-from repro.sim.types import AccessType, MemoryAccess
-from repro.workloads.generators.base import WorkloadGenerator
+from repro.sim.batch import KIND_STORE
+from repro.workloads.generators.base import AccessRecord, WorkloadGenerator
 
 
 class TemporalPointerChaseWorkload(WorkloadGenerator):
@@ -90,12 +90,12 @@ class TemporalPointerChaseWorkload(WorkloadGenerator):
         self._chase_pc = self.new_pc()
         self._noise_pc = self.new_pc()
 
-    def _generate(self) -> Iterable[MemoryAccess]:
+    def _generate(self) -> Iterator[AccessRecord]:
         node = self._head
         steps = 0
         while True:
             if self.noise_fraction and self.rng.random() < self.noise_fraction:
-                block = 0x2000000 + self.rng.randrange(0x400000)
+                block = 0x2000000 + self.below(0x400000)
                 yield self.access(self._noise_pc, block * 64)
                 continue
             yield self.access(self._chase_pc, self._node_blocks[node] * 64)
@@ -164,7 +164,7 @@ class RingBufferWorkload(WorkloadGenerator):
         slot = item_index % self.slots
         return (self._ring_base_block + slot * self.item_blocks + block) * 64
 
-    def _generate(self) -> Iterable[MemoryAccess]:
+    def _generate(self) -> Iterator[AccessRecord]:
         produced = self.lag  # start with the consumer's lag already queued
         consumed = 0
         producing = True
@@ -176,7 +176,7 @@ class RingBufferWorkload(WorkloadGenerator):
                     yield self.access(
                         self._producer_pc,
                         self._slot_address(produced, block),
-                        AccessType.STORE,
+                        KIND_STORE,
                     )
                 produced += 1
             else:
@@ -270,14 +270,12 @@ class HashProbeWorkload(WorkloadGenerator):
         # Power-law popularity: u**s compresses the draw toward index 0.
         return int(self.num_keys * (self.rng.random() ** self.zipf_s))
 
-    def _generate(self) -> Iterable[MemoryAccess]:
+    def _generate(self) -> Iterator[AccessRecord]:
         while True:
             if self.miss_fraction and self.rng.random() < self.miss_fraction:
-                bucket = self._bucket_base_block + self.rng.randrange(
-                    self.buckets * 8
-                ) // 8
+                bucket = self._bucket_base_block + self.below(self.buckets * 8) // 8
                 yield self.access(self._miss_pc, bucket * 64)
-                wild = 0x3000000 + self.rng.randrange(0x100000)
+                wild = 0x3000000 + self.below(0x100000)
                 yield self.access(self._miss_pc, wild * 64)
                 continue
             blocks = self._key_blocks[min(self._pick_key(), self.num_keys - 1)]

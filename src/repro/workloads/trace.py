@@ -7,6 +7,7 @@ from pathlib import Path
 from typing import Dict, Iterator, List, Optional, Sequence, Union
 
 from repro.hashing import content_hash
+from repro.sim.batch import BatchedTrace
 from repro.sim.types import BLOCK_SHIFT, MemoryAccess
 from repro.workloads import formats as trace_formats
 from repro.workloads.formats import (
@@ -199,17 +200,27 @@ class TraceSpec:
         """
         return content_hash(self.identity_dict())
 
-    def build(self, length: Optional[int] = None) -> List[MemoryAccess]:
-        """Materialize the trace as a list (generated or loaded from file)."""
-        return list(self.stream(length=length))
+    def build(self, length: Optional[int] = None) -> Sequence[MemoryAccess]:
+        """Materialize the trace (generated or loaded from file).
+
+        Generator specs return the generator's
+        :class:`~repro.sim.batch.BatchedTrace`: the decoded columns the
+        simulator consumes, and also a read-only ``Sequence[MemoryAccess]``
+        that rebuilds each access on demand.  File-backed specs return a
+        list of the file's accesses.
+        """
+        length = length if length is not None else self.length
+        if self.source is not None:
+            return list(self.stream(length=length))
+        return self._generate(length)
 
     def stream(self, length: Optional[int] = None) -> Iterator[MemoryAccess]:
         """Yield the trace's accesses lazily.
 
         For file-backed specs this streams straight off disk in O(1)
-        memory; generator specs materialize first (generators are batch
-        producers), so prefer :meth:`replayable` when the consumer can
-        handle both shapes.
+        memory; generator specs materialize their columns first (generators
+        are batch producers), so prefer :meth:`replayable` when the consumer
+        can handle both shapes.
         """
         length = length if length is not None else self.length
         if self.source is not None:
@@ -222,7 +233,7 @@ class TraceSpec:
         File-backed specs return a re-openable
         :class:`~repro.workloads.formats.TraceFile` (sliced to ``length``)
         that the simulator streams in O(1) memory; generator specs return
-        the materialized list.
+        the generated :class:`~repro.sim.batch.BatchedTrace`.
         """
         length = length if length is not None else self.length
         if self.source is not None:
@@ -231,7 +242,7 @@ class TraceSpec:
             )
         return self._generate(length)
 
-    def _generate(self, length: int) -> List[MemoryAccess]:
+    def _generate(self, length: int) -> BatchedTrace:
         """Run the configured generator (generator-backed specs only)."""
         from repro.workloads.generators import GENERATORS
 
@@ -251,7 +262,7 @@ def make_trace(
     seed: int = 0,
     length: int = 40_000,
     **params,
-) -> List[MemoryAccess]:
+) -> Sequence[MemoryAccess]:
     """Build a trace either from a :class:`TraceSpec` or a generator name.
 
     When ``kind`` is a :class:`TraceSpec`, the spec's own length and

@@ -3,6 +3,7 @@
 import pytest
 
 from repro.experiments import tables
+from repro.experiments.jobs import batched_trace_cached, build_trace_cached
 from repro.experiments.metrics import (
     aggregate_by_suite,
     arithmetic_mean,
@@ -13,6 +14,7 @@ from repro.experiments.metrics import (
 )
 from repro.experiments.reporting import format_matrix, format_rows
 from repro.experiments.runner import ExperimentRunner, RunResult, RunScale
+from repro.sim.batch import BatchedTrace
 from repro.workloads.suites import trace_specs_for_suite
 from repro.workloads.trace import TraceSpec
 
@@ -42,6 +44,13 @@ class TestExperimentRunner:
     def test_trace_cache_reuses_object(self, tiny_runner):
         spec = trace_specs_for_suite("spec17")[0]
         assert tiny_runner.trace_for(spec) is tiny_runner.trace_for(spec)
+
+    def test_trace_memos_share_one_object(self, tiny_runner):
+        spec = trace_specs_for_suite("spec17")[1]
+        trace = tiny_runner.trace_for(spec)
+        assert isinstance(trace, BatchedTrace)
+        assert build_trace_cached(spec, 1_500) is trace
+        assert batched_trace_cached(spec, 1_500) is trace
 
     def test_baseline_cache(self, tiny_runner):
         spec = trace_specs_for_suite("spec17")[0]

@@ -1,7 +1,10 @@
 """Tests for the synthetic workload generators, trace utilities and suites."""
 
+import random
+
 import pytest
 
+from repro.sim.batch import KIND_LOAD, KIND_STORE, BatchedTrace
 from repro.sim.types import AccessType
 from repro.workloads import (
     GENERATORS,
@@ -22,6 +25,7 @@ from repro.workloads import (
     trace_specs_for_suite,
     trace_statistics,
 )
+from repro.workloads.generators import WorkloadGenerator
 from repro.workloads.suites import MAIN_SUITES
 
 
@@ -54,6 +58,78 @@ class TestGeneratorContract:
     def test_invalid_length_rejected(self):
         with pytest.raises(ValueError):
             StreamingWorkload(length=0)
+
+    @pytest.mark.parametrize("kind", sorted(GENERATORS))
+    @pytest.mark.parametrize("region_size", [0, -64, 32, 100])
+    def test_invalid_region_size_rejected(self, kind, region_size):
+        # Before validation, streaming looped forever without yielding,
+        # strided divided by zero and the footprint generators failed
+        # inside random.sample.
+        with pytest.raises(ValueError, match="region_size"):
+            GENERATORS[kind](seed=1, length=10, region_size=region_size)
+
+    @pytest.mark.parametrize("kind", sorted(GENERATORS))
+    def test_generate_returns_decoded_columns(self, kind):
+        trace = GENERATORS[kind](seed=4, length=300).generate()
+        assert isinstance(trace, BatchedTrace)
+        assert trace.blocks == [address >> 6 for address in trace.addresses]
+        assert trace.instruction_total == sum(trace.gaps) + len(trace)
+        assert set(trace.kinds) <= {KIND_LOAD, KIND_STORE}
+
+    def test_finite_generator_is_replayed(self):
+        trace = _FiniteWorkload(seed=3, length=7, count=3).generate()
+        assert [a.address for a in trace] == [0, 64, 128] * 2 + [0]
+        # Each pass continues the RNG stream, so replayed gaps are fresh draws.
+        assert len(set(trace.gaps)) > 1
+
+    def test_empty_generator_raises_instead_of_spinning(self):
+        with pytest.raises(ValueError, match="yielded no accesses"):
+            _FiniteWorkload(seed=3, length=5, count=0).generate()
+
+    def test_generator_that_runs_dry_raises(self):
+        generator = _FiniteWorkload(seed=3, length=5, count=2)
+        generator.passes_left = 1
+        with pytest.raises(ValueError, match="yielded no accesses"):
+            generator.generate()
+
+    @pytest.mark.parametrize("mean", [0.3, 1.0, 5.0, 8.0, 30.0, 35.0])
+    def test_instr_gap_matches_randint(self, mean):
+        generator = StreamingWorkload(seed=11, length=10, mean_instr_gap=mean)
+        reference = random.Random(11)
+        low = max(0, int(mean * 0.5))
+        high = int(mean * 1.5) + 1
+        drawn = [generator.instr_gap() for _ in range(500)]
+        assert drawn == [reference.randint(low, high) for _ in range(500)]
+        assert generator.rng.getstate() == reference.getstate()
+
+    @pytest.mark.parametrize("n", [1, 2, 3, 4, 8, 37, 64, 0x200000])
+    def test_below_matches_randrange(self, n):
+        generator = StreamingWorkload(seed=12, length=10)
+        reference = random.Random(12)
+        assert [generator.below(n) for _ in range(300)] == [
+            reference.randrange(n) for _ in range(300)
+        ]
+        with pytest.raises(ValueError):
+            generator.below(0)
+
+
+class _FiniteWorkload(WorkloadGenerator):
+    """Yields ``count`` sequential accesses per pass, for ``passes_left`` passes."""
+
+    kind = "finite-test"
+
+    def __init__(self, count: int, **kwargs) -> None:
+        super().__init__(**kwargs)
+        self.count = count
+        self.passes_left = None
+
+    def _generate(self):
+        if self.passes_left is not None:
+            if self.passes_left == 0:
+                return
+            self.passes_left -= 1
+        for block in range(self.count):
+            yield self.access(0x400, block * 64)
 
 
 class TestStreamingWorkloads:
@@ -171,6 +247,33 @@ class TestTraceSpecAndPersistence:
         spec = TraceSpec(name="t", suite="s", generator="streaming", length=700)
         assert len(spec.build()) == 700
         assert len(spec.build(length=300)) == 300
+
+    def test_generated_build_behaves_like_a_list(self):
+        spec = TraceSpec(name="t", suite="s", generator="ring", seed=2, length=400)
+        trace = spec.build()
+        as_list = list(trace)
+        assert isinstance(trace, BatchedTrace)
+        assert len(trace) == len(as_list) == 400
+        assert trace == as_list and as_list == trace
+        assert trace == spec.build()
+        assert trace != as_list[:-1]
+        for index in (0, 1, 199, -1, -400):
+            assert trace[index] == as_list[index]
+        assert trace[10:20] == as_list[10:20]
+        assert trace[::-7] == as_list[::-7]
+        with pytest.raises(IndexError):
+            trace[400]
+        assert list(trace) == as_list  # iterating twice replays the same accesses
+        assert list(spec.stream()) == as_list
+        with pytest.raises(TypeError):
+            hash(trace)
+
+    def test_file_backed_build_returns_list(self, tmp_path):
+        path = tmp_path / "trace.gzt"
+        save_trace(make_trace("cloud", seed=1, length=50), path)
+        trace = TraceSpec.from_file(path).build()
+        assert isinstance(trace, list)
+        assert trace == make_trace("cloud", seed=1, length=50)
 
     def test_spec_unknown_generator(self):
         spec = TraceSpec(name="t", suite="s", generator="nope")
