@@ -61,7 +61,10 @@ _KIND_TO_TYPE = {
 class BatchedTrace(Sequence):
     """One trace decoded into parallel arrays (see module docstring)."""
 
-    __slots__ = ("addresses", "pcs", "gaps", "kinds", "blocks", "instruction_total")
+    __slots__ = (
+        "addresses", "pcs", "gaps", "kinds", "blocks", "instruction_total",
+        "_accesses",
+    )
 
     def __init__(
         self,
@@ -78,6 +81,7 @@ class BatchedTrace(Sequence):
         self.kinds = kinds
         self.blocks = blocks
         self.instruction_total = instruction_total
+        self._accesses: Optional[List[MemoryAccess]] = None
 
     @classmethod
     def from_accesses(cls, accesses: Iterable[MemoryAccess]) -> "BatchedTrace":
@@ -153,6 +157,17 @@ class BatchedTrace(Sequence):
                 pc=pc, address=address, access_type=kind_to_type[kind],
                 instr_gap=gap,
             )
+
+    def accesses(self) -> List[MemoryAccess]:
+        """The trace as a list of access objects, built on first call and kept.
+
+        For consumers that step through the objects again and again (the
+        scalar kernel, the Python multi-core loop): they pay the rebuild
+        once per trace instead of once per access visited.
+        """
+        if self._accesses is None:
+            self._accesses = list(self)
+        return self._accesses
 
     def __eq__(self, other) -> bool:
         """Equal to another trace, or a list/tuple, with the same accesses."""

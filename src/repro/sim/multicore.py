@@ -60,6 +60,7 @@ from __future__ import annotations
 from concurrent.futures import ThreadPoolExecutor
 from typing import Callable, List, Optional, Sequence
 
+from repro.sim.batch import BatchedTrace
 from repro.sim.cache import Cache
 from repro.sim.config import SystemConfig, default_system_config
 from repro.sim.cpu import CoreTimingModel
@@ -119,6 +120,9 @@ class _CoreContext:
             # prefetcher/hierarchy pairing is rewired.
             if self._notify_prefetcher_eviction not in listeners:
                 listeners.append(self._notify_prefetcher_eviction)
+        if isinstance(trace, BatchedTrace):
+            # step() reads one access object per step, so build them once.
+            trace = trace.accesses()
         self.replayer = _TraceReplayer(trace)
         self.executed_instructions = 0
         self.budget = 0

@@ -348,9 +348,9 @@ class SingleCoreSimulator:
                 trace = ChunkedTraceStream(trace)
         elif isinstance(trace, BatchedTrace):
             # batch="off" (or a non-power-of-two L1): the scalar kernel runs
-            # over a materialized copy so a pre-decoded trace cannot
+            # over the trace's access objects so a pre-decoded trace cannot
             # silently re-enter the batched kernel.
-            trace = list(trace)
+            trace = trace.accesses()
         replayer = _TraceReplayer(trace)
         self._attach_driver(replayer)
 

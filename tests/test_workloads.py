@@ -265,6 +265,9 @@ class TestTraceSpecAndPersistence:
             trace[400]
         assert list(trace) == as_list  # iterating twice replays the same accesses
         assert list(spec.stream()) == as_list
+        # Object consumers share one rebuilt list per trace.
+        assert trace.accesses() is trace.accesses()
+        assert trace.accesses() == as_list
         with pytest.raises(TypeError):
             hash(trace)
 
