@@ -260,7 +260,8 @@ JobResult = Union[SimulationStats, MultiCoreStats]
 # memoization — it never changes results.  Generated traces are stored as
 # the generator's BatchedTrace (the decoded columns every tier reads), so
 # one entry serves the batched kernel, the C driver and, through its
-# Sequence view, every scalar consumer.
+# Sequence view, every scalar consumer (those that step through the objects
+# repeatedly build them once, with BatchedTrace.accesses).
 _TRACE_CACHE: "OrderedDict[Tuple[str, int], Sequence[MemoryAccess]]" = OrderedDict()
 _TRACE_CACHE_LIMIT = 64
 
@@ -299,7 +300,7 @@ def _trace_for_job(job: SimulationJob):
 
     Generator specs return the per-process memoized
     :class:`~repro.sim.batch.BatchedTrace`; under ``batch="off"`` the
-    simulator rebuilds the access objects from it for the scalar kernel.
+    scalar kernel runs over its access objects, built once per trace.
     File-backed specs return a re-openable streaming handle, which the
     batched kernel decodes in bounded chunks, so the simulation runs in
     O(chunk) memory whatever the trace length (the content digest in the
@@ -325,7 +326,7 @@ def _execute_mix_job(job: MixSimulationJob) -> MultiCoreStats:
             traces.append(spec.replayable(length=job.trace_length))
         else:
             # The C mix reads the decoded columns directly; the Python
-            # loop rebuilds one access object per step from them.
+            # loop builds the access objects once (BatchedTrace.accesses).
             traces.append(build_trace_cached(spec, job.trace_length))
     if job.is_baseline:
         prefetcher_factory = None

@@ -119,9 +119,8 @@ class BatchedTrace(Sequence):
         The workload generators' output path: one ``zip`` over plain tuples,
         with ``kind`` already a ``KIND_*`` code, instead of one
         :class:`MemoryAccess` per access and a decode pass over them.
+        ``records`` must not be empty.
         """
-        if not records:
-            return cls([], [], [], bytearray(), [], 0)
         pcs, addresses, kinds, gaps = zip(*records)
         return cls(
             list(addresses),
@@ -181,9 +180,6 @@ class BatchedTrace(Sequence):
         if isinstance(other, (list, tuple)):
             return len(other) == len(self) and all(map(eq, self, other))
         return NotImplemented
-
-    #: Unhashable, like the list it stands in for.
-    __hash__ = None
 
     def __repr__(self) -> str:
         return (
